@@ -79,6 +79,9 @@ type (
 	// InstrTrace is a recorded instruction stream with its identity;
 	// replaying it is byte-identical to live generation.
 	InstrTrace = trace.Trace
+	// PackedTrace is a recorded stream in compact in-memory form (~4 bytes
+	// per instruction), the form replay runs from.
+	PackedTrace = trace.Packed
 	// TraceMeta identifies a trace's source (generator name, source
 	// kind/id, spec fingerprint, seed).
 	TraceMeta = trace.Meta
@@ -382,6 +385,10 @@ func NewTraceRecorder(gen Generator) *TraceRecorder { return trace.NewRecorder(g
 
 // ReadTraceFile loads and fingerprint-verifies the trace at path.
 func ReadTraceFile(path string) (*InstrTrace, error) { return trace.ReadFile(path) }
+
+// ReadPackedTraceFile loads and fingerprint-verifies the trace at path in
+// packed form, ready to replay, without ever decoding it into a slice.
+func ReadPackedTraceFile(path string) (*PackedTrace, error) { return trace.ReadPackedFile(path) }
 
 // WriteTraceFile atomically writes t to path.
 func WriteTraceFile(path string, t *InstrTrace) error { return trace.WriteFile(path, t) }

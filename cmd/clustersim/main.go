@@ -210,7 +210,7 @@ func main() {
 	if *specFile != "" || *replayTrace != "" {
 		var gen clustersim.Generator
 		if *replayTrace != "" {
-			t, terr := clustersim.ReadTraceFile(*replayTrace)
+			t, terr := clustersim.ReadPackedTraceFile(*replayTrace)
 			if terr != nil {
 				fatal("%v", terr)
 			}

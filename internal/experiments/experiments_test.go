@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +80,31 @@ func TestGeomean(t *testing.T) {
 	}
 	if geomean([]float64{1, 0}) != 0 {
 		t.Fatal("non-positive input should yield 0")
+	}
+}
+
+// TestSummarizeBitStable: the geomean row sums logarithms across
+// benchmarks, so it must visit them in a fixed order; a map-ordered sum
+// varies in its last bit from call to call.
+func TestSummarizeBitStable(t *testing.T) {
+	ipcs := map[string][]float64{}
+	for i := 0; i < 40; i++ {
+		x := float64(i + 1)
+		ipcs[fmt.Sprintf("bench%02d", i)] = []float64{1 / 3.0 * x, 0.7 + 1/x, math.Sqrt(x)}
+	}
+	var first *Table
+	for rep := 0; rep < 50; rep++ {
+		tb := &Table{Columns: []string{"a", "b", "c"}}
+		summarize(tb, ipcs, []int{0})
+		if first == nil {
+			first = tb
+			continue
+		}
+		for c, cell := range tb.Rows[0].Cells {
+			if want := first.Rows[0].Cells[c]; math.Float64bits(cell.Value) != math.Float64bits(want.Value) {
+				t.Fatalf("rep %d col %d: geomean %v, first call %v", rep, c, cell.Value, want.Value)
+			}
+		}
 	}
 }
 

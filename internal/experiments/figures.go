@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"clustersim/internal/core"
 	"clustersim/internal/pipeline"
@@ -183,12 +184,19 @@ func summarize(t *Table, ipcs map[string][]float64, staticCols []int) {
 	if len(ipcs) == 0 {
 		return
 	}
+	// Sum in name order: float addition is not associative, so map order
+	// would make the geomeans' last bit vary from run to run.
+	names := make([]string, 0, len(ipcs))
+	for name := range ipcs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	cols := len(t.Columns)
 	gm := make([]float64, cols)
 	for c := 0; c < cols; c++ {
 		var vals []float64
-		for _, row := range ipcs {
-			if c < len(row) && row[c] > 0 {
+		for _, name := range names {
+			if row := ipcs[name]; c < len(row) && row[c] > 0 {
 				vals = append(vals, row[c])
 			}
 		}

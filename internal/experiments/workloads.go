@@ -25,34 +25,57 @@ func TraceFileName(dir, bench string, seed uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-seed%d.trace", bench, seed))
 }
 
-// TraceCache shares loaded traces across a sweep's cells. Replayers over a
-// cached trace share the immutable instruction slice, so an N-cell sweep
-// replaying one workload holds one copy in memory. Safe for concurrent use
-// by the runner's workers.
+// TraceCache shares loaded traces across a sweep's cells. Traces are held
+// packed (trace.Packed, ~4 bytes per instruction) and replayers over one
+// share it, so an N-cell sweep replaying one workload holds one compact
+// copy in memory. Safe for concurrent use by the runner's workers: the
+// mutex guards only the map, so workers loading different files read in
+// parallel while callers of one path wait on a single read.
 type TraceCache struct {
 	mu sync.Mutex
-	m  map[string]*trace.Trace
+	m  map[string]*traceLoad
+	// read loads one file; tests substitute a counting reader.
+	read func(path string) (*trace.Packed, error)
+}
+
+// traceLoad is one path's read, shared by every caller that arrives while
+// it is in flight or after it succeeded.
+type traceLoad struct {
+	done chan struct{} // closed when p and err are set
+	p    *trace.Packed
+	err  error
 }
 
 // NewTraceCache returns an empty cache.
-func NewTraceCache() *TraceCache { return &TraceCache{m: make(map[string]*trace.Trace)} }
+func NewTraceCache() *TraceCache {
+	return &TraceCache{m: make(map[string]*traceLoad), read: trace.ReadPackedFile}
+}
 
-// load returns the trace at path, reading the file on first use.
-func (c *TraceCache) load(path string) (*trace.Trace, error) {
+// load returns the trace at path, reading the file on first use. A failed
+// read is not cached: the next call retries it.
+func (c *TraceCache) load(path string) (*trace.Packed, error) {
 	if c == nil {
-		return trace.ReadFile(path)
+		return trace.ReadPackedFile(path)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.m[path]; ok {
-		return t, nil
+	l, ok := c.m[path]
+	if !ok {
+		l = &traceLoad{done: make(chan struct{})}
+		c.m[path] = l
 	}
-	t, err := trace.ReadFile(path)
-	if err != nil {
-		return nil, err
+	c.mu.Unlock()
+	if ok {
+		<-l.done
+		return l.p, l.err
 	}
-	c.m[path] = t
-	return t, nil
+	l.p, l.err = c.read(path)
+	if l.err != nil {
+		c.mu.Lock()
+		delete(c.m, path)
+		c.mu.Unlock()
+	}
+	close(l.done)
+	return l.p, l.err
 }
 
 // specFor resolves the declarative spec a benchmark name is bound to.

@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"clustersim/internal/pipeline"
 	"clustersim/internal/runner"
 	"clustersim/internal/spec"
+	"clustersim/internal/trace"
 )
 
 // loadThrashSpec pulls the checked-in stressor, the non-builtin workload
@@ -188,5 +191,107 @@ func TestTraceCacheSharesLoads(t *testing.T) {
 	}
 	if t3 == t1 {
 		t.Fatalf("nil cache unexpectedly shared the cached instance")
+	}
+}
+
+// TestTraceCacheConcurrentLoads: concurrent callers read each file once
+// and share one *Packed per path; reads of distinct files overlap rather
+// than queueing behind the cache lock; a failed read is retried by the
+// next call.
+func TestTraceCacheConcurrentLoads(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Seed: 1, Scale: 0.001, Benchmarks: []string{"gzip", "swim", "vpr"}}
+	if _, err := RecordTraces(o, dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, b := range o.Benchmarks {
+		paths = append(paths, TraceFileName(dir, b, 1))
+	}
+
+	var mu sync.Mutex
+	reads := map[string]int{}
+	count := func(path string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		reads[path]++
+		return reads[path]
+	}
+	// Every distinct path's read waits until all of them have started, so
+	// reads serialized by the cache would time out.
+	var started sync.WaitGroup
+	started.Add(len(paths))
+	allStarted := make(chan struct{})
+	go func() { started.Wait(); close(allStarted) }()
+	c := NewTraceCache()
+	c.read = func(path string) (*trace.Packed, error) {
+		if count(path) == 1 {
+			started.Done()
+			select {
+			case <-allStarted:
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("reads of distinct traces were serialized")
+			}
+		}
+		return trace.ReadPackedFile(path)
+	}
+
+	const callers = 6
+	got := make([][]*trace.Packed, len(paths))
+	var wg sync.WaitGroup
+	for i, path := range paths {
+		got[i] = make([]*trace.Packed, callers)
+		for k := 0; k < callers; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p, err := c.load(path)
+				if err != nil {
+					t.Error(err)
+				}
+				got[i][k] = p
+			}()
+		}
+	}
+	wg.Wait()
+	for i, path := range paths {
+		if reads[path] != 1 {
+			t.Errorf("%s read %d times, want 1", filepath.Base(path), reads[path])
+		}
+		for k, p := range got[i] {
+			if p == nil || p != got[i][0] {
+				t.Fatalf("%s caller %d got a different *Packed", filepath.Base(path), k)
+			}
+		}
+		if i > 0 && got[i][0] == got[i-1][0] {
+			t.Fatalf("distinct paths share one *Packed")
+		}
+	}
+
+	// A failed read stays uncached: each call retries until the file
+	// appears, then the load sticks.
+	late := filepath.Join(dir, "late.trace")
+	c.read = func(path string) (*trace.Packed, error) {
+		count(path)
+		return trace.ReadPackedFile(path)
+	}
+	for attempt := 1; attempt <= 2; attempt++ {
+		if _, err := c.load(late); err == nil {
+			t.Fatalf("load of a missing file succeeded")
+		}
+		if reads[late] != attempt {
+			t.Fatalf("attempt %d: %d reads, want %d (failure was cached)", attempt, reads[late], attempt)
+		}
+	}
+	if err := os.Rename(paths[0], late); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if p, err := c.load(late); err != nil || p.Meta.SourceID != "gzip" {
+			t.Fatalf("load after the file appeared: %v", err)
+		}
+	}
+	if reads[late] != 3 {
+		t.Fatalf("%d reads of the late file, want 3", reads[late])
 	}
 }

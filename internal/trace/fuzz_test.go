@@ -5,13 +5,15 @@ import (
 	"reflect"
 	"testing"
 
+	"clustersim/internal/isa"
 	"clustersim/internal/workload"
 )
 
-// FuzzTraceRoundTrip feeds arbitrary bytes to the decoder: it must reject
-// or accept without panicking, and anything it accepts must re-encode and
-// re-decode to the identical trace (the codec is a bijection on its valid
-// range).
+// FuzzTraceRoundTrip feeds arbitrary bytes to both loaders: they must
+// reject or accept the same inputs without panicking, an accepted input's
+// packed replay must yield exactly the decoded instructions, and anything
+// accepted must re-encode and re-decode to the identical trace (the codec
+// is a bijection on its valid range).
 func FuzzTraceRoundTrip(f *testing.F) {
 	// Seed with real encodings so the fuzzer starts inside the valid
 	// format rather than spending the budget on magic-string discovery.
@@ -32,8 +34,26 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
+		p, perr := ReadPacked(bytes.NewReader(data))
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("loaders disagree: Read %v, ReadPacked %v", err, perr)
+		}
 		if err != nil {
 			return
+		}
+		// The packed load replays exactly the decoded instructions under
+		// the same identity and fingerprint.
+		if p.Meta != tr.Meta || p.Len != len(tr.Instrs) || p.Fingerprint() != tr.Fingerprint() {
+			t.Fatalf("packed load identity %+v/%d/%016x, decoded %+v/%d/%016x",
+				p.Meta, p.Len, p.Fingerprint(), tr.Meta, len(tr.Instrs), tr.Fingerprint())
+		}
+		rp := p.Replayer()
+		var in isa.Instruction
+		for i := range tr.Instrs {
+			rp.Next(&in)
+			if in != tr.Instrs[i] {
+				t.Fatalf("packed replay instruction %d: %+v, decoded %+v", i, in, tr.Instrs[i])
+			}
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, tr); err != nil {

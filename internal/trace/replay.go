@@ -30,51 +30,56 @@ func (e *ExhaustedError) Error() string {
 	return fmt.Sprintf("trace: replay of %q exhausted its %d recorded instructions (re-record with more headroom)", e.Name, e.Len)
 }
 
-// Replayer replays a recorded stream as a workload.Generator. Multiple
-// replayers may share one immutable *Trace (each keeps only a cursor), so
+// Replayer replays a packed recording as a workload.Generator. Multiple
+// replayers may share one immutable *Packed (each keeps only a cursor), so
 // a sweep replays a file loaded once. It implements snap.Stater: a
 // checkpointed replay run resumes exactly like a live-generator run, with
 // the trace fingerprint verified against the snapshot.
 type Replayer struct {
-	t   *Trace //simlint:nostate construction state: the resuming process re-reads the trace file, and LoadState verifies its fingerprint
+	p   *Packed //simlint:nostate construction state: the resuming process re-reads the trace file, and LoadState verifies its fingerprint
 	pos int
+	cur cursor //simlint:nostate derived from pos: LoadState re-decodes the stream up to the saved cursor
 }
 
-// Replayer returns a fresh cursor over the trace.
-func (t *Trace) Replayer() *Replayer { return &Replayer{t: t} }
+// Replayer returns a fresh cursor over the packed trace.
+func (p *Packed) Replayer() *Replayer { return &Replayer{p: p} }
+
+// Replayer packs the trace and returns a fresh cursor over it.
+func (t *Trace) Replayer() *Replayer { return t.Pack().Replayer() }
 
 // Name returns the recorded generator name.
-func (r *Replayer) Name() string { return r.t.Meta.Name }
+func (r *Replayer) Name() string { return r.p.Meta.Name }
 
 // Remaining returns how many recorded instructions are left to replay.
-func (r *Replayer) Remaining() int { return len(r.t.Instrs) - r.pos }
+func (r *Replayer) Remaining() int { return r.p.Len - r.pos }
 
 // Next fills in with the next recorded instruction. Running off the end of
 // the recording panics with an *ExhaustedError: the Generator contract has
 // no error path, and a short trace is a recording mistake, not a runtime
 // condition — the runner's per-run recover turns it into a RunError.
 func (r *Replayer) Next(in *isa.Instruction) {
-	if r.pos >= len(r.t.Instrs) {
+	if r.pos >= r.p.Len {
 		//simlint:allow nopanic Generator.Next has no error path; a short trace is a recording error, surfaced via the runner's per-run recover
-		panic(&ExhaustedError{Name: r.t.Meta.Name, Len: len(r.t.Instrs)})
+		panic(&ExhaustedError{Name: r.p.Meta.Name, Len: r.p.Len})
 	}
-	*in = r.t.Instrs[r.pos]
+	r.cur.next(r.p.data, in)
 	r.pos++
 }
 
 // Reset rewinds the replay to the first recorded instruction.
-func (r *Replayer) Reset() { r.pos = 0 }
+func (r *Replayer) Reset() { r.pos, r.cur = 0, cursor{} }
 
 // SaveState writes the replay cursor plus the trace's identity, so a
 // snapshot can never resume against a different recording.
 func (r *Replayer) SaveState(w *snap.Writer) {
 	w.Mark("trace-replay")
-	w.U64(r.t.Fingerprint())
+	w.U64(r.p.Fingerprint())
 	w.Int(r.pos)
 }
 
 // LoadState restores the cursor after verifying the snapshot was taken
-// over the same trace content.
+// over the same trace content, decoding forward from the start to rebuild
+// the derived decoder state.
 func (r *Replayer) LoadState(rd *snap.Reader) {
 	rd.Mark("trace-replay")
 	fp := rd.U64()
@@ -82,15 +87,19 @@ func (r *Replayer) LoadState(rd *snap.Reader) {
 	if rd.Err() != nil {
 		return
 	}
-	if want := r.t.Fingerprint(); fp != want {
+	if want := r.p.Fingerprint(); fp != want {
 		rd.Failf("trace: snapshot was taken over trace %016x, replaying %016x", fp, want)
 		return
 	}
-	if pos < 0 || pos > len(r.t.Instrs) {
-		rd.Failf("trace: snapshot cursor %d outside [0,%d]", pos, len(r.t.Instrs))
+	if pos < 0 || pos > r.p.Len {
+		rd.Failf("trace: snapshot cursor %d outside [0,%d]", pos, r.p.Len)
 		return
 	}
-	r.pos = pos
+	r.Reset()
+	var in isa.Instruction
+	for r.pos < pos {
+		r.Next(&in)
+	}
 }
 
 // Recorder tees a live generator: the simulation consumes the stream as

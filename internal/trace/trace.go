@@ -20,6 +20,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"os"
@@ -101,32 +102,52 @@ type Trace struct {
 // the load. The same value keys the runner's content-addressed cache for
 // replayed runs.
 func (t *Trace) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [48]byte
-	field := func(s string) {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(len(s)))
-		h.Write(buf[:8])
-		h.Write([]byte(s))
-	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:8], v)
-		h.Write(buf[:8])
-	}
-	field(t.Meta.Name)
-	field(t.Meta.SourceKind)
-	field(t.Meta.SourceID)
-	u64(t.Meta.SourceFP)
-	u64(t.Meta.Seed)
-	u64(uint64(len(t.Instrs)))
+	h := newHasher(t.Meta, uint64(len(t.Instrs)))
 	for i := range t.Instrs {
-		words := packInstr(&t.Instrs[i])
-		for j, w := range words {
-			binary.LittleEndian.PutUint64(buf[j*8:j*8+8], w)
-		}
-		h.Write(buf[:])
+		h.add(&t.Instrs[i])
 	}
-	return h.Sum64()
+	return h.sum()
 }
+
+// hasher computes the content fingerprint one instruction at a time, so
+// every form of a trace — decoded, packed, or streaming off a file — hashes
+// the same bytes without materializing the others.
+type hasher struct {
+	h   hash.Hash64
+	buf [48]byte
+}
+
+// newHasher starts a fingerprint over a trace of n instructions.
+func newHasher(m Meta, n uint64) *hasher {
+	h := &hasher{h: fnv.New64a()}
+	h.field(m.Name)
+	h.field(m.SourceKind)
+	h.field(m.SourceID)
+	h.u64(m.SourceFP)
+	h.u64(m.Seed)
+	h.u64(n)
+	return h
+}
+
+func (h *hasher) field(s string) {
+	h.u64(uint64(len(s)))
+	h.h.Write([]byte(s))
+}
+
+func (h *hasher) u64(v uint64) {
+	binary.LittleEndian.PutUint64(h.buf[:8], v)
+	h.h.Write(h.buf[:8])
+}
+
+// add hashes one instruction's canonical packed form.
+func (h *hasher) add(in *isa.Instruction) {
+	for j, w := range packInstr(in) {
+		binary.LittleEndian.PutUint64(h.buf[j*8:j*8+8], w)
+	}
+	h.h.Write(h.buf[:])
+}
+
+func (h *hasher) sum() uint64 { return h.h.Sum64() }
 
 // Instruction packing: six 64-bit words per instruction, mirroring the
 // field order of the processor snapshot's instruction codec with the three
@@ -236,42 +257,61 @@ func Write(wr io.Writer, t *Trace) error {
 	return w.Flush()
 }
 
-// Read deserializes a trace, failing on truncation, desync, invalid field
-// values or a content-fingerprint mismatch.
-func Read(rd io.Reader) (*Trace, error) {
+// readPayload is the one decoder of the file format, shared by Read and
+// ReadPacked: it validates the header, hands it to begin, then streams each
+// validated instruction to add, and fails on truncation, desync, invalid
+// field values or a content-fingerprint mismatch. On error the sink's
+// partial contents must be discarded.
+func readPayload(rd io.Reader, begin func(Header), add func(*isa.Instruction)) error {
 	r := snap.NewReader(rd)
 	h, err := readHeader(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	begin(h)
 	r.Mark("instr")
-	// Allocate incrementally (capped) so a corrupt count that passed the
-	// bound check still cannot reserve gigabytes before the read fails.
-	capHint := h.Count
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	t := &Trace{Meta: h.Meta, Instrs: make([]isa.Instruction, 0, capHint)}
+	fp := newHasher(h.Meta, h.Count)
 	var words [6]uint64
+	var in isa.Instruction
 	for i := uint64(0); i < h.Count; i++ {
 		for j := range words {
 			words[j] = r.U64()
 		}
 		if err := r.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		var in isa.Instruction
 		if err := unpackInstr(words, &in); err != nil {
-			return nil, fmt.Errorf("%w (instruction %d)", err, i)
+			return fmt.Errorf("%w (instruction %d)", err, i)
 		}
-		t.Instrs = append(t.Instrs, in)
+		fp.add(&in)
+		add(&in)
 	}
 	r.Mark("end")
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if got := t.Fingerprint(); got != h.Fingerprint {
-		return nil, fmt.Errorf("trace: content fingerprint %016x does not match header %016x (corrupt trace)", got, h.Fingerprint)
+	if got := fp.sum(); got != h.Fingerprint {
+		return fmt.Errorf("trace: content fingerprint %016x does not match header %016x (corrupt trace)", got, h.Fingerprint)
+	}
+	return nil
+}
+
+// capHint bounds up-front allocation by a header's count, so a corrupt
+// count that passed the bound check still cannot reserve gigabytes before
+// the read fails; slices grow incrementally past it.
+func capHint(count uint64) int {
+	return int(min(count, 1<<16))
+}
+
+// Read deserializes a trace, failing on truncation, desync, invalid field
+// values or a content-fingerprint mismatch.
+func Read(rd io.Reader) (*Trace, error) {
+	var t *Trace
+	err := readPayload(rd,
+		func(h Header) { t = &Trace{Meta: h.Meta, Instrs: make([]isa.Instruction, 0, capHint(h.Count))} },
+		func(in *isa.Instruction) { t.Instrs = append(t.Instrs, *in) })
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -301,13 +341,19 @@ func WriteFile(path string, t *Trace) error {
 }
 
 // ReadFile reads and validates the trace at path.
-func ReadFile(path string) (*Trace, error) {
+func ReadFile(path string) (*Trace, error) { return readFile(path, Read) }
+
+// ReadPackedFile reads and validates the trace at path straight into packed
+// form; the decoded instruction slice never exists.
+func ReadPackedFile(path string) (*Packed, error) { return readFile(path, ReadPacked) }
+
+func readFile[T any](path string, read func(io.Reader) (*T, error)) (*T, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	t, err := Read(f)
+	t, err := read(f)
 	if err != nil {
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,6 +23,27 @@ func record(t *testing.T, n uint64) *Trace {
 		t.Fatal(err)
 	}
 	return Record(gen, n, Meta{Name: "gzip", SourceKind: SourceBench, SourceID: "gzip", Seed: 1})
+}
+
+// loaders are the two decoders of the file format; every rejection test
+// runs against both, so they accept and reject exactly the same inputs.
+var loaders = []struct {
+	name string
+	load func(io.Reader) error
+}{
+	{"Read", func(r io.Reader) error { _, err := Read(r); return err }},
+	{"ReadPacked", func(r io.Reader) error { _, err := ReadPacked(r); return err }},
+}
+
+// rejectBoth asserts that both loaders fail on data with an error
+// mentioning want ("" accepts any error).
+func rejectBoth(t *testing.T, data []byte, want, what string) {
+	t.Helper()
+	for _, l := range loaders {
+		if err := l.load(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %s: got %v", l.name, what, err)
+		}
+	}
 }
 
 func encode(t *testing.T, tr *Trace) []byte {
@@ -70,18 +93,14 @@ func TestReadRejectsCorruption(t *testing.T) {
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x41
-		if _, err := Read(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("flip at byte %d of %d loaded successfully", i, len(data))
-		}
+		rejectBoth(t, mut, "", fmt.Sprintf("flip at byte %d of %d", i, len(data)))
 	}
 }
 
 func TestReadRejectsTruncation(t *testing.T) {
 	data := encode(t, record(t, 16))
 	for _, cut := range []int{0, 1, 10, 18, 50, len(data) / 2, len(data) - 1} {
-		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
-			t.Fatalf("truncation to %d of %d bytes loaded successfully", cut, len(data))
-		}
+		rejectBoth(t, data[:cut], "", fmt.Sprintf("truncation to %d of %d bytes", cut, len(data)))
 	}
 }
 
@@ -96,9 +115,7 @@ func TestReadRejectsWrongMagicAndVersion(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic: got %v", err)
-	}
+	rejectBoth(t, buf.Bytes(), "magic", "bad magic")
 
 	buf.Reset()
 	w = snap.NewWriter(&buf)
@@ -108,9 +125,7 @@ func TestReadRejectsWrongMagicAndVersion(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version: got %v", err)
-	}
+	rejectBoth(t, buf.Bytes(), "version", "future version")
 }
 
 // writeHeaderTail writes the header fields after magic+version, letting
@@ -132,9 +147,7 @@ func TestReadRejectsHugeCount(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "count") {
-		t.Fatalf("oversized count: got %v", err)
-	}
+	rejectBoth(t, buf.Bytes(), "count", "oversized count")
 }
 
 func TestReadRejectsInvalidClass(t *testing.T) {
@@ -145,9 +158,7 @@ func TestReadRejectsInvalidClass(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "class") {
-		t.Fatalf("invalid class: got %v", err)
-	}
+	rejectBoth(t, buf.Bytes(), "class", "invalid class")
 }
 
 func TestReadRejectsFingerprintMismatch(t *testing.T) {
@@ -165,9 +176,7 @@ func TestReadRejectsFingerprintMismatch(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("fingerprint mismatch: got %v", err)
-	}
+	rejectBoth(t, buf.Bytes(), "fingerprint", "fingerprint mismatch")
 }
 
 func TestMetaVerify(t *testing.T) {
