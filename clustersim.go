@@ -19,10 +19,11 @@
 //	if err != nil { ... }
 //	fmt.Println(res.IPC(), res.AvgActiveClusters())
 //
-// Nine synthetic benchmarks stand in for the paper's SPEC2K/Mediabench
-// programs (see Benchmarks and internal/workload for the substitution
-// rationale), and package internal/experiments regenerates every table and
-// figure of the paper's evaluation.
+// Nine synthetic benchmarks, defined by the spec files under specs/, stand
+// in for the paper's SPEC2K/Mediabench programs (see Benchmarks and
+// internal/workload for the substitution rationale), and package
+// internal/experiments regenerates every table and figure of the paper's
+// evaluation.
 package clustersim
 
 import (
@@ -41,6 +42,7 @@ import (
 	"clustersim/internal/telemetry"
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
+	"clustersim/internal/workload/engine"
 )
 
 // Core simulator types, aliased from the implementation packages so the
@@ -63,10 +65,10 @@ type (
 	PaperData = workload.PaperData
 	// WorkloadKernel parameterizes one phase of a custom synthetic
 	// workload (instruction mix, dependence structure, locality).
-	WorkloadKernel = workload.Kernel
+	WorkloadKernel = engine.Kernel
 	// WorkloadPhase is one (name, length, kernel) segment of a custom
 	// workload.
-	WorkloadPhase = workload.Phase
+	WorkloadPhase = engine.Phase
 	// WorkloadSpec is a declarative workload document (phase profiles
 	// and sampling distributions, or a multi-programmed mix); see
 	// docs/WORKLOADS.md for the schema.
@@ -216,7 +218,7 @@ func NewWorkload(name string, seed uint64) (Generator, error) {
 // NewCustomWorkload builds a deterministic generator from caller-supplied
 // phase kernels, for workloads beyond the nine built-in benchmarks.
 func NewCustomWorkload(name string, phases []WorkloadPhase, seed uint64) (Generator, error) {
-	return workload.Custom(name, phases, seed)
+	return engine.Custom(name, phases, seed)
 }
 
 // NewInvariantChecker returns a cycle-level invariant checker that records
@@ -366,12 +368,6 @@ func CompileWorkloadSpec(s *WorkloadSpec, seed uint64) (Generator, error) {
 // NewSMT.
 func CompileWorkloadMix(s *WorkloadSpec, seed uint64) ([]SpecMixThread, error) {
 	return spec.CompileMix(s, seed)
-}
-
-// BuiltinWorkloadPhases returns the phase list behind a built-in benchmark,
-// the raw material for expressing it as a declarative spec.
-func BuiltinWorkloadPhases(name string) ([]WorkloadPhase, bool) {
-	return workload.BuiltinPhases(name)
 }
 
 // RecordTrace drains n instructions from gen into a trace.

@@ -26,7 +26,8 @@ import (
 var runnerClosure = []string{
 	"internal/snap", "internal/bpred", "internal/interconnect", "internal/isa",
 	"internal/mem", "internal/obs", "internal/telemetry", "internal/rng",
-	"internal/workload", "internal/pipeline", "internal/runner",
+	"internal/workload", "internal/workload/engine", "internal/spec", "specs",
+	"internal/pipeline", "internal/runner",
 }
 
 // scratchRunnerModule copies go.mod plus the runner closure into a temp

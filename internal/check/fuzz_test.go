@@ -6,6 +6,7 @@ import (
 	"clustersim/internal/isa"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/workload"
+	"clustersim/internal/workload/engine"
 )
 
 // Fuzz targets drive the invariant checker over machine-configuration and
@@ -111,14 +112,14 @@ func FuzzRunDeterminism(f *testing.F) {
 }
 
 // FuzzCustomWorkload fuzzes the workload generator's own parameter space
-// through workload.Custom: the generated stream must be deterministic and
+// through engine.Custom: the generated stream must be deterministic and
 // must run cleanly under the invariant checker.
 func FuzzCustomWorkload(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(50), uint8(30), uint8(30), uint8(40), uint8(16), uint8(20), int16(8), uint32(1<<16), false, false, false)
 	f.Add(uint64(9), uint8(1), uint8(0), uint8(0), uint8(255), uint8(0), uint8(4), uint8(2), int16(-64), uint32(0), true, true, true)
 	f.Add(uint64(77), uint8(32), uint8(80), uint8(80), uint8(80), uint8(255), uint8(255), uint8(255), int16(4096), uint32(1<<24), false, true, false)
 	f.Fuzz(func(t *testing.T, seed uint64, chains, loadF, storeF, branchF, crossF, loopBody, loopIters uint8, stride int16, footprint uint32, fp, randomAddr, chase bool) {
-		k := workload.Kernel{
+		k := engine.Kernel{
 			Chains:     1 + int(chains%32),
 			FP:         fp,
 			LoadFrac:   float64(loadF) / 512,  // <= ~0.5
@@ -132,13 +133,13 @@ func FuzzCustomWorkload(f *testing.F) {
 			RandomAddr: randomAddr,
 			Chase:      chase,
 		}
-		gen, err := workload.Custom("fuzz", []workload.Phase{{Length: 10_000, Kernel: k}}, seed)
+		gen, err := engine.Custom("fuzz", []engine.Phase{{Length: 10_000, Kernel: k}}, seed)
 		if err != nil {
 			t.Skip(err)
 		}
 		// Stream determinism: two generators from the same spec and seed
 		// emit identical instructions.
-		gen2, err := workload.Custom("fuzz", []workload.Phase{{Length: 10_000, Kernel: k}}, seed)
+		gen2, err := engine.Custom("fuzz", []engine.Phase{{Length: 10_000, Kernel: k}}, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"clustersim/internal/pipeline"
 	"clustersim/internal/runner"
 	"clustersim/internal/workload"
+	"clustersim/internal/workload/engine"
 )
 
 // oracleBenches returns the benchmarks the oracle matrix covers: every
@@ -166,12 +167,12 @@ func TestStepperEquivalenceMatrix(t *testing.T) {
 
 // stepperEquivCustom is StepperEquivalence over a custom workload spec: both
 // steppers run the identical generated stream and must agree byte-for-byte.
-func stepperEquivCustom(t *testing.T, name string, phases []workload.Phase, window uint64, cfg pipeline.Config, mkCtrl func() pipeline.Controller) {
+func stepperEquivCustom(t *testing.T, name string, phases []engine.Phase, window uint64, cfg pipeline.Config, mkCtrl func() pipeline.Controller) {
 	t.Helper()
 	run := func(legacy bool) pipeline.Result {
 		c := cfg
 		c.LegacyStepper = legacy
-		gen, err := workload.Custom(name, phases, 1)
+		gen, err := engine.Custom(name, phases, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func stepperEquivCustom(t *testing.T, name string, phases []workload.Phase, wind
 // most of its cycles — the regime where stall fast-forward jumps hardest and
 // any off-by-one in the next-event computation would shift a wakeup.
 func TestStepperEquivalenceStallHeavy(t *testing.T) {
-	k := workload.Kernel{
+	k := engine.Kernel{
 		Chains:     1,
 		LoadFrac:   0.45,
 		StoreFrac:  0.05,
@@ -212,7 +213,7 @@ func TestStepperEquivalenceStallHeavy(t *testing.T) {
 		Chase:      true,
 	}
 	stepperEquivCustom(t, "stall-heavy",
-		[]workload.Phase{{Length: 200_000, Kernel: k}}, 30_000,
+		[]engine.Phase{{Length: 200_000, Kernel: k}}, 30_000,
 		pipeline.DefaultConfig(), nil)
 }
 
@@ -222,8 +223,8 @@ func TestStepperEquivalenceStallHeavy(t *testing.T) {
 // migration) under maximum churn.
 type thrashCtrl struct{ total, n int }
 
-func (c *thrashCtrl) Name() string      { return "thrash" }
-func (c *thrashCtrl) Reset(total int)   { c.total, c.n = total, 0 }
+func (c *thrashCtrl) Name() string    { return "thrash" }
+func (c *thrashCtrl) Reset(total int) { c.total, c.n = total, 0 }
 func (c *thrashCtrl) OnCommit(ev pipeline.CommitEvent) int {
 	c.n++
 	if c.n%256 != 0 {
@@ -238,7 +239,7 @@ func (c *thrashCtrl) OnCommit(ev pipeline.CommitEvent) int {
 // TestStepperEquivalenceReconfigThrash: both steppers agree under a
 // controller that thrashes the active-cluster count, on both cache models.
 func TestStepperEquivalenceReconfigThrash(t *testing.T) {
-	k := workload.Kernel{
+	k := engine.Kernel{
 		Chains:     8,
 		LoadFrac:   0.25,
 		StoreFrac:  0.15,
@@ -248,7 +249,7 @@ func TestStepperEquivalenceReconfigThrash(t *testing.T) {
 		LoopIters:  8,
 		Footprint:  1 << 20,
 	}
-	phases := []workload.Phase{{Length: 200_000, Kernel: k}}
+	phases := []engine.Phase{{Length: 200_000, Kernel: k}}
 	for _, tc := range []struct {
 		name string
 		cfg  pipeline.Config

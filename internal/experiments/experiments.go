@@ -279,19 +279,19 @@ func numOrDash(v float64, prec int) Cell {
 	return Num(v, prec)
 }
 
-// request builds one sweep cell: benchmark bench under controller ctrl for
-// the experiment named id. When Options.ObsDir is set, the run carries its
-// own observability registry plus cycle-sampled probes and writes
+// request builds one sweep cell: n instructions of benchmark bench on the
+// static machine cfg for the experiment named id (policyRequest adds a
+// controller). When Options.ObsDir is set, the run carries its own
+// observability registry plus cycle-sampled probes and writes
 // "<id>-<bench>-<policy>" time-series and metrics artifacts under that
 // directory after it executes (such runs are never cache-elided).
-func (o Options) request(id, bench string, cfg pipeline.Config, ctrl pipeline.Controller, n uint64) runner.Request {
+func (o Options) request(id, bench string, cfg pipeline.Config, n uint64) runner.Request {
 	req := runner.Request{
-		ID:         id,
-		Bench:      bench,
-		Seed:       o.seed(),
-		Window:     n,
-		Config:     cfg,
-		Controller: ctrl,
+		ID:     id,
+		Bench:  bench,
+		Seed:   o.seed(),
+		Window: n,
+		Config: cfg,
 	}
 	o.bindWorkload(&req)
 	req.Config.Phases = o.Phases

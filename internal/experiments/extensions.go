@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"clustersim/internal/core"
 	"clustersim/internal/energy"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/runner"
@@ -24,24 +23,17 @@ func Energy(o Options) (*Table, error) {
 			"EDP-ratio < 1 means the adaptive gated machine wins energy-delay",
 		},
 	}
-	benches := o.benchmarks()
-	reqs := make([]runner.Request, 0, 2*len(benches))
-	for _, b := range benches {
-		w := o.Window(b)
-		reqs = append(reqs, o.request("ext-energy", b, pipeline.DefaultConfig(), &core.Static{N: 16}, w))
-		reqs = append(reqs, o.request("ext-energy", b, pipeline.DefaultConfig(), core.NewExplore(core.ExploreConfig{}), w))
-	}
-	rs, err := o.sweeper().RunAll(reqs)
+	sweep, err := schemeSweep(o, "ext-energy", pipeline.DefaultConfig(), []string{"static-16", "explore"})
 	if err != nil {
 		err = fmt.Errorf("ext-energy: %w", err)
-		if !salvageable(err) {
+		if sweep == nil {
 			return nil, err
 		}
 	}
 	model := energy.DefaultModel()
 	var disabled []float64
-	for i, b := range benches {
-		rstatic, radapt := rs[2*i], rs[2*i+1]
+	for i, b := range o.benchmarks() {
+		rstatic, radapt := sweep[i][0], sweep[i][1]
 		if failed(rstatic) || failed(radapt) {
 			// The energy comparison needs both halves of the pair.
 			t.Rows = append(t.Rows, Row{Name: b, Cells: []Cell{

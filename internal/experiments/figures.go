@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"clustersim/internal/core"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/runner"
 	"clustersim/internal/stats"
@@ -26,7 +25,7 @@ func Table3(o Options) (*Table, error) {
 	benches := o.benchmarks()
 	reqs := make([]runner.Request, len(benches))
 	for i, b := range benches {
-		reqs[i] = o.request("table3", b, pipeline.MonolithicConfig(), nil, o.Window(b))
+		reqs[i] = o.request("table3", b, pipeline.MonolithicConfig(), o.Window(b))
 	}
 	rs, err := o.sweeper().RunAll(reqs)
 	if err != nil {
@@ -68,7 +67,7 @@ func Fig3(o Options) (*Table, error) {
 		for _, n := range counts {
 			cfg := pipeline.DefaultConfig()
 			cfg.ActiveClusters = n
-			reqs = append(reqs, o.request(fmt.Sprintf("fig3-c%d", n), b, cfg, nil, o.Window(b)))
+			reqs = append(reqs, o.request(fmt.Sprintf("fig3-c%d", n), b, cfg, o.Window(b)))
 		}
 	}
 	rs, err := o.sweeper().RunAll(reqs)
@@ -118,8 +117,8 @@ func Table4(o Options) (*Table, error) {
 	reqs := make([]runner.Request, len(benches))
 	for i, b := range benches {
 		recs[i] = stats.NewRecorder(10_000)
-		req := o.request("table4", b, pipeline.DefaultConfig(), recs[i], 2*o.Window(b))
-		req.NoCache = true
+		req := o.request("table4", b, pipeline.DefaultConfig(), 2*o.Window(b))
+		req.Controller, req.NoCache = recs[i], true
 		reqs[i] = req
 	}
 	rs, err := o.sweeper().RunAll(reqs)
@@ -156,13 +155,22 @@ func Table4(o Options) (*Table, error) {
 }
 
 // schemeSweep submits one request per benchmark×scheme cell (bench-major
-// order) and returns results indexed [bench][scheme].
-func schemeSweep(o Options, id string, cfg pipeline.Config, mks []func() pipeline.Controller) ([][]pipeline.Result, error) {
+// order) and returns results indexed [bench][scheme]. Schemes are named by
+// their column labels (see columnPolicy).
+func schemeSweep(o Options, id string, cfg pipeline.Config, schemes []string) ([][]pipeline.Result, error) {
+	specs, err := columnPolicies(schemes)
+	if err != nil {
+		return nil, err
+	}
 	benches := o.benchmarks()
-	reqs := make([]runner.Request, 0, len(benches)*len(mks))
+	reqs := make([]runner.Request, 0, len(benches)*len(specs))
 	for _, b := range benches {
-		for _, mk := range mks {
-			reqs = append(reqs, o.request(id, b, cfg, mk(), o.Window(b)))
+		for _, s := range specs {
+			req, err := o.policyRequest(id, b, cfg, s)
+			if err != nil {
+				return nil, err
+			}
+			reqs = append(reqs, req)
 		}
 	}
 	flat, err := o.sweeper().RunAll(reqs)
@@ -171,7 +179,7 @@ func schemeSweep(o Options, id string, cfg pipeline.Config, mks []func() pipelin
 	}
 	out := make([][]pipeline.Result, len(benches))
 	for bi := range benches {
-		out[bi] = flat[bi*len(mks) : (bi+1)*len(mks)]
+		out[bi] = flat[bi*len(specs) : (bi+1)*len(specs)]
 	}
 	return out, err
 }
@@ -237,15 +245,7 @@ func Fig5(o Options) (*Table, error) {
 		Title:   "Interval-based schemes, centralized cache (paper Figure 5)",
 		Columns: []string{"static-4", "static-16", "explore", "dilp-500", "dilp-1K", "dilp-10K"},
 	}
-	mks := []func() pipeline.Controller{
-		func() pipeline.Controller { return &core.Static{N: 4} },
-		func() pipeline.Controller { return &core.Static{N: 16} },
-		func() pipeline.Controller { return core.NewExplore(core.ExploreConfig{}) },
-		func() pipeline.Controller { return core.NewDistantILP(core.DistantILPConfig{Interval: 500}) },
-		func() pipeline.Controller { return core.NewDistantILP(core.DistantILPConfig{Interval: 1000}) },
-		func() pipeline.Controller { return core.NewDistantILP(core.DistantILPConfig{Interval: 10_000}) },
-	}
-	sweep, err := schemeSweep(o, "fig5", pipeline.DefaultConfig(), mks)
+	sweep, err := schemeSweep(o, "fig5", pipeline.DefaultConfig(), t.Columns)
 	if err != nil {
 		err = fmt.Errorf("fig5: %w", err)
 		if sweep == nil {
@@ -281,14 +281,7 @@ func Fig6(o Options) (*Table, error) {
 		Title:   "Fine-grained reconfiguration (paper Figure 6)",
 		Columns: []string{"static-4", "static-16", "explore", "fg-branch", "fg-callreturn"},
 	}
-	mks := []func() pipeline.Controller{
-		func() pipeline.Controller { return &core.Static{N: 4} },
-		func() pipeline.Controller { return &core.Static{N: 16} },
-		func() pipeline.Controller { return core.NewExplore(core.ExploreConfig{}) },
-		func() pipeline.Controller { return core.NewFineGrain(core.FineGrainConfig{}) },
-		func() pipeline.Controller { return core.NewFineGrain(core.FineGrainConfig{CallReturnOnly: true}) },
-	}
-	sweep, err := schemeSweep(o, "fig6", pipeline.DefaultConfig(), mks)
+	sweep, err := schemeSweep(o, "fig6", pipeline.DefaultConfig(), t.Columns)
 	if err != nil {
 		err = fmt.Errorf("fig6: %w", err)
 		if sweep == nil {
@@ -318,14 +311,7 @@ func Fig7(o Options) (*Table, error) {
 	}
 	cfg := pipeline.DefaultConfig()
 	cfg.Cache = pipeline.DecentralizedCache
-	mks := []func() pipeline.Controller{
-		func() pipeline.Controller { return &core.Static{N: 4} },
-		func() pipeline.Controller { return &core.Static{N: 16} },
-		func() pipeline.Controller { return core.NewExplore(core.ExploreConfig{}) },
-		func() pipeline.Controller { return core.NewDistantILP(core.DistantILPConfig{Interval: 1000}) },
-		func() pipeline.Controller { return core.NewDistantILP(core.DistantILPConfig{Interval: 10_000}) },
-	}
-	sweep, err := schemeSweep(o, "fig7", cfg, mks)
+	sweep, err := schemeSweep(o, "fig7", cfg, t.Columns)
 	if err != nil {
 		err = fmt.Errorf("fig7: %w", err)
 		if sweep == nil {
@@ -368,12 +354,7 @@ func Fig8(o Options) (*Table, error) {
 	}
 	cfg := pipeline.DefaultConfig()
 	cfg.Topology = pipeline.GridTopology
-	mks := []func() pipeline.Controller{
-		func() pipeline.Controller { return &core.Static{N: 4} },
-		func() pipeline.Controller { return &core.Static{N: 16} },
-		func() pipeline.Controller { return core.NewExplore(core.ExploreConfig{}) },
-	}
-	sweep, err := schemeSweep(o, "fig8", cfg, mks)
+	sweep, err := schemeSweep(o, "fig8", cfg, t.Columns)
 	if err != nil {
 		err = fmt.Errorf("fig8: %w", err)
 		if sweep == nil {

@@ -52,8 +52,11 @@ func policyLabels(specs []*policy.Spec) ([]string, error) {
 	return labels, nil
 }
 
-// policyRequest builds one cacheable sweep request for a policy spec.
-func (o Options) policyRequest(id, bench string, spec *policy.Spec) (runner.Request, error) {
+// policyRequest builds one cacheable sweep cell: benchmark bench on machine
+// cfg under a fresh controller built from spec, keyed in the run cache by
+// the spec's fingerprint. Every cacheable controller cell goes through
+// here, so one controller has one cache identity across all experiments.
+func (o Options) policyRequest(id, bench string, cfg pipeline.Config, spec *policy.Spec) (runner.Request, error) {
 	ctrl, err := spec.Build()
 	if err != nil {
 		return runner.Request{}, err
@@ -62,9 +65,44 @@ func (o Options) policyRequest(id, bench string, spec *policy.Spec) (runner.Requ
 	if err != nil {
 		return runner.Request{}, err
 	}
-	req := o.request(id, bench, pipeline.DefaultConfig(), ctrl, o.Window(bench))
-	req.PolicyKey = key
+	req := o.request(id, bench, cfg, o.Window(bench))
+	req.Controller, req.PolicyKey = ctrl, key
 	return req, nil
+}
+
+// dilpIntervals are the fixed interval lengths the figures sweep the §4.3
+// distant-ILP controller over, by column label.
+var dilpIntervals = map[string]uint64{"dilp-500": 500, "dilp-1K": 1_000, "dilp-10K": 10_000}
+
+// columnPolicy resolves a figure column label to its controller's policy
+// spec: the paper controllers by their policy.Paper names (static-N,
+// explore), the distant-ILP interval variants, and the two fine-grained
+// schemes by their controller names.
+func columnPolicy(label string) (*policy.Spec, error) {
+	if iv, ok := dilpIntervals[label]; ok {
+		return &policy.Spec{Version: policy.Version, Name: policy.FamilyDistantILP,
+			Params: policy.Params{Interval: iv}}, nil
+	}
+	switch label {
+	case "fg-branch":
+		label = "fine-grain"
+	case "fg-callreturn":
+		label = "fine-grain-cr"
+	}
+	return policy.Paper(label)
+}
+
+// columnPolicies resolves every label with columnPolicy.
+func columnPolicies(labels []string) ([]*policy.Spec, error) {
+	specs := make([]*policy.Spec, len(labels))
+	for i, l := range labels {
+		s, err := columnPolicy(l)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = s
+	}
+	return specs, nil
 }
 
 // PolicyTable compares policy specs head-to-head: per-benchmark IPC for
@@ -92,7 +130,7 @@ func PolicyTable(o Options) (*Table, error) {
 	var reqs []runner.Request
 	for _, b := range benches {
 		for pi := range specs {
-			req, err := o.policyRequest(fmt.Sprintf("policy-%d", pi), b, specs[pi])
+			req, err := o.policyRequest(fmt.Sprintf("policy-%d", pi), b, pipeline.DefaultConfig(), specs[pi])
 			if err != nil {
 				return nil, fmt.Errorf("policy: %w", err)
 			}
@@ -206,9 +244,8 @@ func Counterfactual(o Options) (*Table, error) {
 		}
 		traces[bi] = &policy.DecisionTrace{Bench: b, Seed: o.seed(), Window: o.Window(b),
 			PolicyFP: baseFP, ConfigFP: cfgFP}
-		req := o.request("cf-record", b, pipeline.DefaultConfig(),
-			policy.NewRecorder(inner, traces[bi]), o.Window(b))
-		req.NoCache = true
+		req := o.request("cf-record", b, pipeline.DefaultConfig(), o.Window(b))
+		req.Controller, req.NoCache = policy.NewRecorder(inner, traces[bi]), true
 		recReqs[bi] = req
 	}
 	baseRes, err := o.sweeper().RunAll(recReqs)
@@ -224,7 +261,7 @@ func Counterfactual(o Options) (*Table, error) {
 	var simReqs []runner.Request
 	for _, b := range benches {
 		for ai := range alts {
-			req, rerr := o.policyRequest(fmt.Sprintf("cf-alt-%d", ai), b, alts[ai])
+			req, rerr := o.policyRequest(fmt.Sprintf("cf-alt-%d", ai), b, pipeline.DefaultConfig(), alts[ai])
 			if rerr != nil {
 				return nil, fmt.Errorf("counterfactual: %w", rerr)
 			}

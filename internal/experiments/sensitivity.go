@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"clustersim/internal/core"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/runner"
 )
@@ -44,21 +43,25 @@ func Sensitivity(o Options) (*Table, error) {
 	// The full variant × benchmark × scheme grid goes out as one batch so
 	// the worker pool sees every independent run at once (the baseline
 	// variant's cells are shared with Fig5 via the run cache).
-	statics := []int{4, 8, 16}
+	specs, err := columnPolicies(t.Columns[:4])
+	if err != nil {
+		return nil, err
+	}
 	benches := o.benchmarks()
-	schemes := len(statics) + 1
+	schemes := len(specs)
 	var reqs []runner.Request
 	for vi, v := range variants {
 		id := fmt.Sprintf("sens%d", vi)
+		cfg := pipeline.DefaultConfig()
+		v.mutate(&cfg)
 		for _, b := range benches {
-			for _, n := range statics {
-				cfg := pipeline.DefaultConfig()
-				v.mutate(&cfg)
-				reqs = append(reqs, o.request(id, b, cfg, &core.Static{N: n}, o.Window(b)))
+			for _, s := range specs {
+				req, err := o.policyRequest(id, b, cfg, s)
+				if err != nil {
+					return nil, err
+				}
+				reqs = append(reqs, req)
 			}
-			cfg := pipeline.DefaultConfig()
-			v.mutate(&cfg)
-			reqs = append(reqs, o.request(id, b, cfg, core.NewExplore(core.ExploreConfig{}), o.Window(b)))
 		}
 	}
 	rs, err := o.sweeper().RunAll(reqs)
@@ -142,14 +145,21 @@ func Ablations(o Options) (*Table, error) {
 			cfg := pipeline.DefaultConfig()
 			cfg.Cache = v.cache
 			v.mutate(&cfg)
-			reqs = append(reqs, o.request("ablate-"+v.name, b, cfg, nil, o.Window(b)))
+			reqs = append(reqs, o.request("ablate-"+v.name, b, cfg, o.Window(b)))
 		}
+	}
+	explore, err := columnPolicy("explore")
+	if err != nil {
+		return nil, err
 	}
 	commBase := len(reqs)
 	for _, b := range benches {
-		reqs = append(reqs, o.request("ablate-comm", b, pipeline.DefaultConfig(), nil, o.Window(b)))
-		reqs = append(reqs, o.request("ablate-disabled", b, pipeline.DefaultConfig(),
-			core.NewExplore(core.ExploreConfig{}), o.Window(b)))
+		reqs = append(reqs, o.request("ablate-comm", b, pipeline.DefaultConfig(), o.Window(b)))
+		req, err := o.policyRequest("ablate-disabled", b, pipeline.DefaultConfig(), explore)
+		if err != nil {
+			return nil, err
+		}
+		reqs = append(reqs, req)
 	}
 	rs, err := o.sweeper().RunAll(reqs)
 	if err != nil {

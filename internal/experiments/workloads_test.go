@@ -74,7 +74,7 @@ func TestRecordTracesAndReplaySweep(t *testing.T) {
 	build := func(o Options) []runner.Request {
 		var reqs []runner.Request
 		for _, bench := range o.benchmarks() {
-			reqs = append(reqs, o.request("replay-equiv", bench, pipeline.DefaultConfig(), nil, o.Window(bench)))
+			reqs = append(reqs, o.request("replay-equiv", bench, pipeline.DefaultConfig(), o.Window(bench)))
 		}
 		return reqs
 	}
@@ -128,7 +128,7 @@ func TestRecordTracesAndReplaySweep(t *testing.T) {
 func TestReplayMissingTraceFails(t *testing.T) {
 	o := testOpts(t)
 	o.ReplayTraceDir = t.TempDir() // empty: no recordings
-	q := o.request("missing", "gzip", pipeline.DefaultConfig(), nil, o.Window("gzip"))
+	q := o.request("missing", "gzip", pipeline.DefaultConfig(), o.Window("gzip"))
 	if !q.NoCache {
 		t.Fatalf("unreadable trace must leave the request uncacheable")
 	}
@@ -152,7 +152,7 @@ func TestReplayRejectsWrongWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	ro := Options{Seed: 1, Scale: 0.001, Benchmarks: []string{"swim"}, ReplayTraceDir: dir}
-	q := ro.request("wrong", "swim", pipeline.DefaultConfig(), nil, ro.Window("swim"))
+	q := ro.request("wrong", "swim", pipeline.DefaultConfig(), ro.Window("swim"))
 	_, err := runner.New(1).RunAll([]runner.Request{q})
 	var se *runner.SweepError
 	if !errors.As(err, &se) || len(se.Failures) != 1 {

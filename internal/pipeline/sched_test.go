@@ -8,6 +8,7 @@ import (
 	"clustersim/internal/mem"
 	"clustersim/internal/rng"
 	"clustersim/internal/workload"
+	"clustersim/internal/workload/engine"
 )
 
 // The event-driven stepper's in-package proofs: differential equivalence
@@ -21,8 +22,8 @@ import (
 // stallKernel is a serial pointer-chase over a footprint far beyond the L1
 // and TLB: almost every load misses, so the machine spends most cycles
 // stalled — the regime stall fast-forward exists for.
-func stallKernel() workload.Kernel {
-	return workload.Kernel{
+func stallKernel() engine.Kernel {
+	return engine.Kernel{
 		Chains:     1,
 		LoadFrac:   0.45,
 		StoreFrac:  0.05,
@@ -37,7 +38,7 @@ func stallKernel() workload.Kernel {
 
 func stallGen(t testing.TB) workload.Generator {
 	t.Helper()
-	gen, err := workload.Custom("stall-heavy", []workload.Phase{{Length: 1 << 40, Kernel: stallKernel()}}, 1)
+	gen, err := engine.Custom("stall-heavy", []engine.Phase{{Length: 1 << 40, Kernel: stallKernel()}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,21 +35,17 @@ func (c *panicAfterController) OnCommit(pipeline.CommitEvent) int {
 	return 0
 }
 
-// TestKeyFieldBoundaryCollision is the regression test for the bare-'|'
-// fingerprint scheme: the controller name and PolicyKey used to be joined
-// with '|' into one string, so a name containing '|' could shift bytes
-// across the field boundary and alias a different request. With
-// length-prefixed fields the two requests below — identical joined policy
-// strings "static-16|a|b" — must hash differently.
+// TestKeyFieldBoundaryCollision is the regression test for separator-joined
+// fingerprints: PolicyKey and SourceKey are adjacent free-form fields, so
+// joining them with '|' would let bytes shift across the boundary and alias
+// a different request. With length-prefixed fields the two requests below
+// — identical joined strings "policy:a|b|trace:c" — must hash differently.
 func TestKeyFieldBoundaryCollision(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	a := Request{Bench: "gzip", Seed: 1, Window: 1000, Config: cfg,
-		Controller: &namedController{name: "static-16|a"}, PolicyKey: "b"}
+		PolicyKey: "policy:a|b", SourceKey: "trace:c"}
 	b := Request{Bench: "gzip", Seed: 1, Window: 1000, Config: cfg,
-		PolicyKey: "a|b"} // nil controller => name "static-16"
-	if a.policy() != b.policy() {
-		t.Fatalf("test premise broken: joined policies differ (%q vs %q)", a.policy(), b.policy())
-	}
+		PolicyKey: "policy:a", SourceKey: "b|trace:c"}
 	if a.key() == b.key() {
 		t.Fatal("field-boundary collision: distinct requests share a fingerprint")
 	}

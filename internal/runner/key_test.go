@@ -7,8 +7,7 @@ import (
 	"clustersim/internal/workload"
 )
 
-// namedCtrl is a stub controller whose Name is chosen by the test — the
-// knob the key-boundary tests below need.
+// namedCtrl is a stub controller whose Name is chosen by the test.
 type namedCtrl struct{ name string }
 
 func (c namedCtrl) Name() string                         { return c.name }
@@ -19,7 +18,7 @@ func keyOf(q Request) uint64 { return q.key() }
 
 // TestKeyFieldBoundaries: the cache key's encoding is injective across field
 // boundaries. No way of redistributing the same bytes between adjacent
-// identity fields (controller name / PolicyKey / SourceKey) may collide —
+// identity fields (seed / window / PolicyKey / SourceKey) may collide —
 // the aliasing class a separator-joined encoding would be vulnerable to.
 func TestKeyFieldBoundaries(t *testing.T) {
 	base := staticReq("gzip", 4)
@@ -28,17 +27,15 @@ func TestKeyFieldBoundaries(t *testing.T) {
 		a, b Request
 	}{
 		{
-			name: "controller name vs PolicyKey",
+			name: "seed digits vs window digits",
 			a: func() Request {
 				q := base
-				q.Controller = namedCtrl{name: "interval|thr=2"}
-				q.PolicyKey = "hyst=4"
+				q.Seed, q.Window = 11, 1000
 				return q
 			}(),
 			b: func() Request {
 				q := base
-				q.Controller = namedCtrl{name: "interval"}
-				q.PolicyKey = "thr=2|hyst=4"
+				q.Seed, q.Window = 1, 11000
 				return q
 			}(),
 		},
@@ -103,5 +100,26 @@ func TestKeylessSourceUncacheable(t *testing.T) {
 	q.SourceKey = "spec:deadbeef"
 	if !q.cacheable() {
 		t.Error("keyed sourced request is not cacheable; it should be")
+	}
+}
+
+// TestKeyIgnoresControllerName: a controller's identity in the cache key is
+// its PolicyKey alone. Names do not carry parameters, so two requests with
+// the same PolicyKey share a key whatever their controllers call themselves,
+// and a controller without a PolicyKey makes the request uncacheable.
+func TestKeyIgnoresControllerName(t *testing.T) {
+	a := staticReq("gzip", 4)
+	a.Controller, a.PolicyKey = namedCtrl{name: "interval-explore"}, "policy:0123456789abcdef"
+	b := a
+	b.Controller = namedCtrl{name: "renamed"}
+	if keyOf(a) != keyOf(b) {
+		t.Error("controller name entered the cache key")
+	}
+	if !a.cacheable() {
+		t.Error("keyed controller request is not cacheable; it should be")
+	}
+	a.PolicyKey = ""
+	if a.cacheable() {
+		t.Error("request with an unkeyed Controller is cacheable; it must not be")
 	}
 }

@@ -60,9 +60,13 @@ type Request struct {
 	Config pipeline.Config
 	// Controller is the run's reconfiguration policy instance (nil =
 	// static). Controllers are stateful: every request needs its own.
-	Controller pipeline.Controller
-	// PolicyKey augments the cache key when Controller.Name() does not
-	// uniquely identify the controller's configuration.
+	Controller pipeline.Controller //simlint:nokey content identity carried by PolicyKey; an unkeyed Controller makes the request uncacheable
+	// PolicyKey is the Controller's content-addressed identity (e.g. a
+	// policy spec's "policy:<fingerprint>", see policy.Spec.Key), folded
+	// into the cache key in place of the controller itself. Controller
+	// names do not identify parameters, so the key never hashes them: a
+	// request with a Controller but no PolicyKey is uncacheable, like an
+	// unkeyed Source.
 	PolicyKey string
 	// Source, when non-nil, builds the run's workload generator instead
 	// of workload.New(Bench, Seed) — the injection point for spec-
@@ -105,10 +109,10 @@ func (q *Request) policy() string {
 // (one instance per run) and its violations are harvested after the run, so
 // a cache hit would silently skip validation.
 func (q *Request) cacheable() bool {
-	if q.Source != nil && q.SourceKey == "" {
-		// An unkeyed source closure has no content identity to hash:
-		// two requests with different closures would collide on
-		// (Bench, Seed) alone.
+	if (q.Source != nil && q.SourceKey == "") || (q.Controller != nil && q.PolicyKey == "") {
+		// An unkeyed source closure or controller has no content
+		// identity to hash: two requests with different closures, or
+		// differently parameterized controllers, would collide.
 		return false
 	}
 	return !q.NoCache && q.Config.Observer == nil && q.Config.Checker == nil && q.PostRun == nil
@@ -128,41 +132,26 @@ func hashField(h hash.Hash, field string) {
 	h.Write([]byte(field))
 }
 
-// key fingerprints the request: benchmark, seed, window, policy identity and
-// the full configuration. Two requests with equal keys produce identical
-// Results.
+// key fingerprints a cacheable request: benchmark, seed, window, policy and
+// source identities, and the full configuration. Two requests with equal
+// keys produce identical Results.
 //
-// Every variable-length component is hashed as its own length-prefixed field
-// — including the controller name and PolicyKey separately, since their
-// "name|policyKey" join is itself ambiguous. The configuration is folded
-// through Config.Fingerprint, the single source of truth for which Config
-// fields carry result identity — so the runner's cache keys and the snapshot
-// identity check can never drift apart (this is also what keeps cache keys
-// shared across the timing-equivalent stepper modes: Fingerprint excludes
-// LegacyStepper, and an earlier %+v rehash here did not).
+// Every variable-length component is hashed as its own length-prefixed
+// field, so no choice of PolicyKey and SourceKey contents can alias another
+// pair. The configuration is folded through Config.Fingerprint, the single
+// source of truth for which Config fields carry result identity — so the
+// runner's cache keys and the snapshot identity check can never drift apart
+// (this is also what keeps cache keys shared across the timing-equivalent
+// stepper modes: Fingerprint excludes LegacyStepper, and an earlier %+v
+// rehash here did not).
 func (q *Request) key() uint64 {
 	h := fnv.New64a()
 	hashField(h, q.Bench)
 	hashField(h, fmt.Sprintf("%d", q.Seed))
 	hashField(h, fmt.Sprintf("%d", q.Window))
-	ctrlName := ""
-	if q.Controller != nil {
-		ctrlName = q.Controller.Name()
-	}
-	hashField(h, ctrlName)
 	hashField(h, q.PolicyKey)
 	hashField(h, q.SourceKey)
 	hashField(h, fmt.Sprintf("%016x", q.Config.Fingerprint()))
-	// Checked requests are uncacheable, but their keys still drive
-	// intra-batch dedup — fold the validation mode in (never the checker's
-	// pointer identity) so a checked run can never alias an unchecked one.
-	if chk := q.Config.Checker; chk != nil {
-		mode := fmt.Sprintf("%T", chk)
-		if n, ok := chk.(interface{ Name() string }); ok {
-			mode = n.Name()
-		}
-		hashField(h, "check:"+mode)
-	}
 	return h.Sum64()
 }
 

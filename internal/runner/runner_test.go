@@ -93,8 +93,8 @@ func TestKeyDiscriminates(t *testing.T) {
 		func(q *Request) { q.Config.ActiveClusters = 8 },
 		func(q *Request) { q.Config.HopLatency = 2 },
 		func(q *Request) { q.Config.Cache = pipeline.DecentralizedCache },
-		func(q *Request) { q.Controller = core.NewExplore(core.ExploreConfig{}) },
 		func(q *Request) { q.PolicyKey = "variant" },
+		func(q *Request) { q.SourceKey = "variant" },
 	}
 	seen := map[uint64]int{base.key(): -1}
 	for i, mutate := range vary {
@@ -201,16 +201,10 @@ func TestEach(t *testing.T) {
 	}
 }
 
-// namedChecker is a minimal pipeline.Checker with a validation-mode name.
-type namedChecker struct{ mode string }
+// nopChecker is a minimal pipeline.Checker.
+type nopChecker struct{}
 
-func (c *namedChecker) CheckCycle(*pipeline.MachineView) {}
-func (c *namedChecker) Name() string                     { return c.mode }
-
-// anonChecker is a Checker without a Name method (keyed by type).
-type anonChecker struct{}
-
-func (anonChecker) CheckCycle(*pipeline.MachineView) {}
+func (c *nopChecker) CheckCycle(*pipeline.MachineView) {}
 
 // TestCheckerRequestsNeverCached: a request carrying a checker must execute
 // even when an identical unchecked run is cached (and vice versa) — the
@@ -226,7 +220,7 @@ func TestCheckerRequestsNeverCached(t *testing.T) {
 	}
 
 	checked := staticReq("gzip", 4)
-	chk := &namedChecker{mode: "m"}
+	chk := &nopChecker{}
 	checked.Config.Checker = chk
 	res, err := r.RunAll([]Request{checked})
 	if err != nil {
@@ -246,40 +240,11 @@ func TestCheckerRequestsNeverCached(t *testing.T) {
 	// Nor is the checked run's result stored: a later identical checked
 	// request executes again (its own checker must see its own run).
 	again := staticReq("gzip", 4)
-	again.Config.Checker = &namedChecker{mode: "m"}
+	again.Config.Checker = &nopChecker{}
 	if _, err := r.RunAll([]Request{again}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Stats().Runs; got != 3 {
 		t.Fatalf("second checked request served from cache (runs=%d)", got)
-	}
-}
-
-// TestKeyIncludesCheckerMode: the request fingerprint folds in the
-// checker's validation mode (by Name, falling back to the Go type) and not
-// its pointer identity.
-func TestKeyIncludesCheckerMode(t *testing.T) {
-	plain := staticReq("gzip", 4)
-	a := staticReq("gzip", 4)
-	a.Config.Checker = &namedChecker{mode: "invariants"}
-	b := staticReq("gzip", 4)
-	b.Config.Checker = &namedChecker{mode: "invariants-failfast"}
-	c := staticReq("gzip", 4)
-	c.Config.Checker = anonChecker{}
-
-	if a.key() == plain.key() {
-		t.Fatal("checked and unchecked requests share a key")
-	}
-	if a.key() == b.key() {
-		t.Fatal("different validation modes share a key")
-	}
-	if a.key() == c.key() || b.key() == c.key() {
-		t.Fatal("named and anonymous checkers share a key")
-	}
-	// Pointer-independent: two instances of the same mode share the key.
-	a2 := staticReq("gzip", 4)
-	a2.Config.Checker = &namedChecker{mode: "invariants"}
-	if a.key() != a2.key() {
-		t.Fatal("same validation mode produced different keys (pointer leaked into the hash)")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"clustersim/internal/rng"
-	"clustersim/internal/workload"
+	"clustersim/internal/workload/engine"
 )
 
 // expandSalt decorrelates the expansion RNG (which samples phase lengths
@@ -15,14 +15,13 @@ const expandSalt = 0xD157_5EED_CA5C_ADE5
 // Compile builds the spec's generator: distribution-valued fields are
 // expanded by inverse-CDF sampling off rng.New(seed ^ expandSalt) — phases
 // in order, length then chains per instance; constants consume no draws —
-// and the expanded phase list feeds workload.Custom under the same seed.
+// and the expanded phase list feeds engine.Custom under the same seed.
 // An all-constant spec therefore compiles to exactly the phase list it
-// spells out: a spec transcribing a built-in benchmark yields a
-// byte-identical instruction stream.
+// spells out.
 //
 // Mix specs describe multiple threads, not one program; compile those with
 // CompileMix.
-func Compile(s *Spec, seed uint64) (workload.Generator, error) {
+func Compile(s *Spec, seed uint64) (engine.Generator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -30,16 +29,16 @@ func Compile(s *Spec, seed uint64) (workload.Generator, error) {
 		return nil, fmt.Errorf("spec %s: a mix describes %d threads, not one program (use CompileMix)", s.Name, len(s.Mix))
 	}
 	phases := expandPhases(s.Phases, seed)
-	return workload.Custom(s.Name, phases, seed)
+	return engine.Custom(s.Name, phases, seed)
 }
 
 // expandPhases samples every distribution-valued field into a concrete
-// workload phase list. The draw order is part of the format's contract
+// engine phase list. The draw order is part of the format's contract
 // (documented on Compile): phases in declaration order, each repeat
 // instance drawing length first, then chains.
-func expandPhases(phases []Phase, seed uint64) []workload.Phase {
+func expandPhases(phases []Phase, seed uint64) []engine.Phase {
 	r := rng.New(seed ^ expandSalt)
-	out := make([]workload.Phase, 0, len(phases))
+	out := make([]engine.Phase, 0, len(phases))
 	for _, p := range phases {
 		rep := p.Repeat
 		if rep == 0 {
@@ -52,7 +51,7 @@ func expandPhases(phases []Phase, seed uint64) []workload.Phase {
 			}
 			length := p.Length.SampleInt(r, 1, maxPhaseLen)
 			chains := int(p.Profile.Chains.SampleInt(r, 1, maxChains))
-			out = append(out, workload.Phase{
+			out = append(out, engine.Phase{
 				Name:   name,
 				Length: length,
 				Kernel: p.Profile.kernel(chains),
@@ -64,8 +63,8 @@ func expandPhases(phases []Phase, seed uint64) []workload.Phase {
 
 // kernel converts the profile to the exported engine kernel with the
 // sampled chain count substituted.
-func (p *Profile) kernel(chains int) workload.Kernel {
-	return workload.Kernel{
+func (p *Profile) kernel(chains int) engine.Kernel {
+	return engine.Kernel{
 		Chains:         chains,
 		FP:             p.FP,
 		LoadFrac:       p.LoadFrac,
@@ -101,12 +100,12 @@ type MixThread struct {
 	// Clusters is the spec's fixed-partition hint (0 = policy decides).
 	Clusters int
 	// Gen is the thread's instruction stream.
-	Gen workload.Generator
+	Gen engine.Generator
 }
 
-// CompileMix builds one generator per mix entry: built-in benchmarks
-// through workload.New, inline programs through Compile, each under
-// seed + SeedOffset.
+// CompileMix builds one generator per mix entry — built-in benchmarks
+// resolved through Builtin, inline phase lists as they stand — each compiled
+// under seed + SeedOffset.
 func CompileMix(s *Spec, seed uint64) ([]MixThread, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -116,21 +115,20 @@ func CompileMix(s *Spec, seed uint64) ([]MixThread, error) {
 	}
 	threads := make([]MixThread, 0, len(s.Mix))
 	for i, e := range s.Mix {
-		t := MixThread{Seed: seed + e.SeedOffset, Clusters: e.Clusters}
+		sub := &Spec{Version: Version, Name: e.Name, Phases: e.Phases}
 		if e.Bench != "" {
-			gen, err := workload.New(e.Bench, t.Seed)
+			b, err := Builtin(e.Bench)
 			if err != nil {
 				return nil, fmt.Errorf("spec %s: mix[%d]: %w", s.Name, i, err)
 			}
-			t.Name, t.Gen = e.Bench, gen
-		} else {
-			sub := &Spec{Version: Version, Name: e.Name, Phases: e.Phases}
-			gen, err := Compile(sub, t.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("spec %s: mix[%d]: %w", s.Name, i, err)
-			}
-			t.Name, t.Gen = e.Name, gen
+			sub = b
 		}
+		t := MixThread{Name: sub.Name, Seed: seed + e.SeedOffset, Clusters: e.Clusters}
+		gen, err := Compile(sub, t.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("spec %s: mix[%d]: %w", s.Name, i, err)
+		}
+		t.Gen = gen
 		threads = append(threads, t)
 	}
 	return threads, nil

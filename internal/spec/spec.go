@@ -4,10 +4,9 @@
 // dependence and locality profiles, or a multi-programmed mix of such
 // programs for the SMT co-schedule studies.
 //
-// A spec compiles into the same engine behind the nine built-in benchmarks
-// (workload.Custom), so a spec whose phases equal a built-in program's
-// phases produces a byte-identical instruction stream — the property the
-// checked-in specs under specs/ prove for all nine (see TestSpecOracle).
+// A spec compiles into the synthetic-program engine (engine.Custom). The
+// nine built-in benchmarks are themselves specs: specs/<bench>.json,
+// embedded in the binary and resolved by name through Builtin.
 // Distribution-valued fields (phase lengths, dependence-chain counts) are
 // expanded at compile time by deterministic inverse-CDF sampling off
 // internal/rng: the same (spec, seed) pair always yields the same program.
@@ -23,8 +22,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-
-	"clustersim/internal/workload"
 )
 
 // Version is the spec format version this package reads and writes.
@@ -78,7 +75,7 @@ type Phase struct {
 	Profile Profile `json:"profile"`
 }
 
-// Profile mirrors workload.Kernel field for field (see that type for
+// Profile mirrors engine.Kernel field for field (see that type for
 // semantics), with Chains distribution-valued: the chain count is the
 // program's mean dependence distance, so a distribution here varies the
 // dependence structure across repeat instances.
@@ -108,7 +105,7 @@ type Profile struct {
 }
 
 // MixEntry is one thread of a multi-programmed workload: either a built-in
-// benchmark by name or an inline phase program.
+// benchmark by name (see Builtin) or an inline phase program.
 type MixEntry struct {
 	// Bench names a built-in benchmark (exclusive with Phases).
 	Bench string `json:"bench,omitempty"`
@@ -290,7 +287,7 @@ func (p *Profile) validate() error {
 		}
 	}
 	// ReuseFrac is special: 0 selects the engine default and negative
-	// disables reuse entirely (see workload.Kernel).
+	// disables reuse entirely (see engine.Kernel).
 	if !(p.ReuseFrac >= -1 && p.ReuseFrac <= 1) {
 		return fmt.Errorf("reuse_frac %v outside [-1,1]", p.ReuseFrac)
 	}
@@ -316,43 +313,4 @@ func (p *Profile) validate() error {
 		return fmt.Errorf("stride %d outside [%d,%d]", p.Stride, int64(-maxStride), int64(maxStride))
 	}
 	return nil
-}
-
-// FromPhases expresses an exported phase list as an all-constant spec. It
-// is the bridge that regenerates the checked-in specs under specs/ from
-// the built-in benchmark definitions (see TestBuiltinSpecGoldens) and a
-// convenient constructor for programmatic specs.
-func FromPhases(name string, phases []workload.Phase) *Spec {
-	s := &Spec{Version: Version, Name: name}
-	for _, p := range phases {
-		s.Phases = append(s.Phases, Phase{
-			Name:   p.Name,
-			Length: Const(float64(p.Length)),
-			Profile: Profile{
-				Chains:         Const(float64(p.Kernel.Chains)),
-				FP:             p.Kernel.FP,
-				LoadFrac:       p.Kernel.LoadFrac,
-				StoreFrac:      p.Kernel.StoreFrac,
-				BranchFrac:     p.Kernel.BranchFrac,
-				MultFrac:       p.Kernel.MultFrac,
-				CrossFrac:      p.Kernel.CrossFrac,
-				FreshFrac:      p.Kernel.FreshFrac,
-				LoopBody:       p.Kernel.LoopBody,
-				LoopIters:      p.Kernel.LoopIters,
-				IterJitter:     p.Kernel.IterJitter,
-				RandBranchFrac: p.Kernel.RandBranchFrac,
-				RandTakenProb:  p.Kernel.RandTakenProb,
-				Stride:         p.Kernel.Stride,
-				Footprint:      p.Kernel.Footprint,
-				RandomAddr:     p.Kernel.RandomAddr,
-				Chase:          p.Kernel.Chase,
-				AddrDepFrac:    p.Kernel.AddrDepFrac,
-				ReuseFrac:      p.Kernel.ReuseFrac,
-				StaticBlocks:   p.Kernel.StaticBlocks,
-				CallEvery:      p.Kernel.CallEvery,
-				Funcs:          p.Kernel.Funcs,
-			},
-		})
-	}
-	return s
 }

@@ -6,15 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"clustersim/internal/isa"
 	"clustersim/internal/spec"
 )
 
-// -update rewrites the checked-in golden artifacts: the malformed-spec
-// error transcript under testdata/ and the nine benchmark specs under
-// specs/ at the repository root (see TestBuiltinSpecGoldens).
+// -update rewrites the malformed-spec error transcript under testdata/.
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // roundTripCases are valid spec documents covering every distribution kind
@@ -289,5 +288,24 @@ func TestLoadFile(t *testing.T) {
 	}
 	if _, err := spec.LoadFile(bad); err == nil {
 		t.Fatalf("LoadFile accepted an invalid spec")
+	}
+}
+
+func TestBuiltin(t *testing.T) {
+	names := spec.Builtins()
+	if len(names) != 9 {
+		t.Fatalf("Builtins() = %v, want the nine benchmarks", names)
+	}
+	for _, name := range names {
+		s, err := spec.Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name != name || len(s.Mix) > 0 {
+			t.Errorf("Builtin(%q) = spec %q with %d mix threads, want a single program", name, s.Name, len(s.Mix))
+		}
+	}
+	if _, err := spec.Builtin("doom"); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+		t.Fatalf("Builtin(doom) error = %v, want unknown benchmark", err)
 	}
 }

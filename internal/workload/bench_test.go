@@ -1,8 +1,15 @@
 package workload
 
 import (
+	"bytes"
+	"io/fs"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
+
+	"clustersim/internal/spec"
+	"clustersim/specs"
 )
 
 // sortedKeys returns a map's keys in sorted order so test sweeps iterate
@@ -16,47 +23,75 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// TestEmbeddedSpecsCanonical: every embedded benchmark spec is stored in
+// canonical form (Serialize(Parse(b)) == b, so its file bytes are exactly
+// what Fingerprint hashes), is named after its file, and the embedded set
+// is exactly the benchmarks with published paper data.
+func TestEmbeddedSpecsCanonical(t *testing.T) {
+	files, err := fs.Glob(specs.Benchmarks, "*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		data, err := specs.Benchmarks.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := spec.Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		canon, err := s.Serialize()
+		if err != nil {
+			t.Fatalf("%s: Serialize: %v", f, err)
+		}
+		if !bytes.Equal(canon, data) {
+			t.Errorf("%s is not in canonical form:\n%s", f, canon)
+		}
+		if want := strings.TrimSuffix(f, ".json"); s.Name != want {
+			t.Errorf("%s names benchmark %q, want %q", f, s.Name, want)
+		}
+		names = append(names, s.Name)
+	}
+	if want := sortedKeys(paperData); !reflect.DeepEqual(names, want) {
+		t.Errorf("embedded benchmarks %v, paper data for %v", names, want)
+	}
+	if got := Benchmarks(); !reflect.DeepEqual(got, names) {
+		t.Errorf("Benchmarks() = %v, embedded %v", got, names)
+	}
+}
+
 // TestProgramDefinitionsSane validates every benchmark's kernel parameters
 // structurally, so a mistyped constant fails fast rather than producing a
 // silently miscalibrated program.
 func TestProgramDefinitionsSane(t *testing.T) {
-	for _, name := range sortedKeys(programs) {
-		prog := programs[name]
-		if prog.name != name {
-			t.Errorf("%s: program name field %q mismatched", name, prog.name)
+	for _, name := range Benchmarks() {
+		s, err := spec.Builtin(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(prog.phases) == 0 {
+		if s.Name != name {
+			t.Errorf("%s: spec name field %q mismatched", name, s.Name)
+		}
+		if len(s.Phases) == 0 {
 			t.Errorf("%s: no phases", name)
 			continue
 		}
-		for _, ph := range prog.phases {
-			k := ph.k
-			ctx := name + "/" + ph.name
-			if ph.length <= 0 {
+		for _, ph := range s.Phases {
+			k := ph.Profile
+			ctx := name + "/" + ph.Name
+			if !ph.Length.IsConst() || !k.Chains.IsConst() || ph.Repeat != 0 {
+				t.Errorf("%s: benchmark phases must be constant and unrepeated", ctx)
+			}
+			if ph.Length.Value <= 0 {
 				t.Errorf("%s: non-positive phase length", ctx)
 			}
-			if k.Chains < 1 {
-				t.Errorf("%s: chains %d", ctx, k.Chains)
-			}
-			if k.Chains > 64 {
-				t.Errorf("%s: chains %d beyond plausible rename width", ctx, k.Chains)
+			if chains := k.Chains.Value; chains < 1 || chains > 64 {
+				t.Errorf("%s: chains %v outside [1,64] (plausible rename width)", ctx, chains)
 			}
 			if sum := k.LoadFrac + k.StoreFrac + k.BranchFrac; sum >= 0.9 {
 				t.Errorf("%s: class fractions sum to %.2f, leaving no arithmetic", ctx, sum)
-			}
-			for _, f := range []struct {
-				n string
-				v float64
-			}{
-				{"LoadFrac", k.LoadFrac}, {"StoreFrac", k.StoreFrac},
-				{"BranchFrac", k.BranchFrac}, {"MultFrac", k.MultFrac},
-				{"CrossFrac", k.CrossFrac}, {"FreshFrac", k.FreshFrac},
-				{"RandBranchFrac", k.RandBranchFrac}, {"RandTakenProb", k.RandTakenProb},
-				{"AddrDepFrac", k.AddrDepFrac},
-			} {
-				if f.v < 0 || f.v > 1 {
-					t.Errorf("%s: %s = %f out of [0,1]", ctx, f.n, f.v)
-				}
 			}
 			if k.LoopBody < 4 || k.LoopBody > 1024 {
 				t.Errorf("%s: LoopBody %d out of range", ctx, k.LoopBody)

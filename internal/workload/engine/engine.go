@@ -1,4 +1,14 @@
-package workload
+// Package engine is the synthetic-program generator behind every workload:
+// a program is a cyclic sequence of phases, each a Kernel executed for a
+// number of dynamic instructions. Each phase is compiled into statically
+// laid-out basic blocks (stable PCs, so branch, bank and reconfiguration
+// predictors can learn) executed as loops, with dynamic dependence
+// distances that realize the kernel's number of parallel dependence chains.
+//
+// The engine knows nothing of benchmarks: internal/spec compiles spec
+// documents into Custom calls, and internal/workload resolves the nine
+// built-in benchmark names through internal/spec.
+package engine
 
 import (
 	"math"
@@ -7,88 +17,15 @@ import (
 	"clustersim/internal/rng"
 )
 
-// kernel parameterizes the instruction-level behaviour of one program phase.
-//
-// The execution model: dynamic instructions are assigned round-robin to
-// Chains independent serial dependence chains — every operation in a chain
-// depends on the chain's previous operation. Chains is therefore the ILP
-// knob: a wide window can issue from up to Chains chains at once, and
-// distant ILP (the paper's window>120 metric) appears exactly when Chains is
-// large and branches are predictable enough to keep the window full.
-type kernel struct {
-	// Chains is the number of independent serial dependence chains.
-	Chains int
-	// FP selects a floating-point-dominated arithmetic mix.
-	FP bool
-	// LoadFrac, StoreFrac and BranchFrac are the fractions of body
-	// instructions that are loads, stores and forward conditional
-	// branches; the remainder is arithmetic.
-	LoadFrac, StoreFrac, BranchFrac float64
-	// MultFrac is the fraction of arithmetic that uses the multiplier.
-	MultFrac float64
-	// CrossFrac is the probability an operation reads a second operand
-	// from a neighbouring chain (inter-chain — and once steered,
-	// inter-cluster — communication).
-	CrossFrac float64
-	// FreshFrac is the probability a chain operand is architected
-	// (distance 0), briefly breaking the chain.
-	FreshFrac float64
-	// LoopBody is the number of instructions per innermost loop
-	// iteration (one static basic block, including its loop branch).
-	LoopBody int
-	// LoopIters is the innermost trip count; the loop-exit branch
-	// mispredicts once per exit unless the trip count fits predictor
-	// history.
-	LoopIters int
-	// IterJitter randomizes the trip count by ±IterJitter, making loop
-	// exits unpredictable (integer-code behaviour).
-	IterJitter int
-	// RandBranchFrac is the fraction of forward branches whose outcome
-	// is data-dependent (random), and RandTakenProb their taken
-	// probability; these set the floor of the mispredict rate.
-	RandBranchFrac float64
-	RandTakenProb  float64
-	// Stride is the byte stride of successive memory references in a
-	// chain; Footprint is the total data footprint in bytes (split
-	// across chains); RandomAddr replaces striding with uniform random
-	// addresses; Chase makes each load's address depend on the chain's
-	// previous load (pointer chasing).
-	Stride     int64
-	Footprint  int64
-	RandomAddr bool
-	Chase      bool
-	// AddrDepFrac is the probability a load's address is computed from
-	// the chain (exposing memory latency on the chain) rather than an
-	// induction variable (letting the load issue far ahead of use).
-	// Streaming FP code strength-reduces addresses (low values); integer
-	// code computes them (high values). Zero means the engine default.
-	AddrDepFrac float64
-	// ReuseFrac is the probability a strided access re-touches one of
-	// the chain's recently visited words instead of advancing (stencil-
-	// style temporal locality). Zero selects the engine default (0.35);
-	// negative disables reuse.
-	ReuseFrac float64
-	// StaticBlocks is the number of distinct basic blocks (code
-	// footprint); execution cycles through them.
-	StaticBlocks int
-	// CallEvery, when nonzero, inserts a subroutine call after every
-	// CallEvery-th block, rotating over Funcs function bodies.
-	CallEvery int
-	Funcs     int
-}
-
-// phaseSpec is one phase of a program: a kernel executed for Length
-// dynamic instructions before the program moves to the next phase.
-type phaseSpec struct {
-	name   string
-	length int64
-	k      kernel
-}
-
-// program is a named cyclic sequence of phases.
-type program struct {
-	name   string
-	phases []phaseSpec
+// Generator produces a deterministic committed-path instruction stream.
+// Implementations are not safe for concurrent use.
+type Generator interface {
+	// Name returns the program name.
+	Name() string
+	// Next fills in with the next dynamic instruction.
+	Next(in *isa.Instruction)
+	// Reset rewinds the stream to the beginning.
+	Reset()
 }
 
 // staticInstr is one compiled instruction slot of a basic block.
@@ -104,7 +41,6 @@ type staticInstr struct {
 // compiledPhase is a phase's static code: blocks of staticInstrs at stable
 // PCs, plus optional function bodies.
 type compiledPhase struct {
-	k      kernel
 	base   uint64
 	blocks [][]staticInstr
 	fns    [][]staticInstr
@@ -118,8 +54,9 @@ const (
 
 // engine executes a program, emitting one dynamic instruction per Next call.
 type engine struct {
-	prog     program
-	seed     uint64 //simlint:nostate construction input; a snapshot only restores onto a same-(benchmark,seed) engine
+	name     string  //simlint:nostate construction input; a snapshot only restores onto a same-(benchmark,seed) engine
+	phases   []Phase //simlint:nostate construction input; a snapshot only restores onto a same-(benchmark,seed) engine
+	seed     uint64  //simlint:nostate construction input; a snapshot only restores onto a same-(benchmark,seed) engine
 	compiled []compiledPhase
 
 	r   *rng.Source
@@ -148,20 +85,20 @@ type engine struct {
 	regionLen uint64
 }
 
-func newEngine(p program, seed uint64) *engine {
-	e := &engine{prog: p, seed: seed}
+func newEngine(name string, phases []Phase, seed uint64) *engine {
+	e := &engine{name: name, phases: phases, seed: seed}
 	// Compile every phase's static code deterministically from the seed.
 	cr := rng.New(seed ^ 0xC0DEC0DEC0DEC0DE)
-	e.compiled = make([]compiledPhase, len(p.phases))
-	for i := range p.phases {
-		e.compiled[i] = compilePhase(i, p.phases[i].k, cr.Fork())
+	e.compiled = make([]compiledPhase, len(phases))
+	for i := range phases {
+		e.compiled[i] = compilePhase(i, phases[i].Kernel, cr.Fork())
 	}
 	e.Reset()
 	return e
 }
 
 // Name implements Generator.
-func (e *engine) Name() string { return e.prog.name }
+func (e *engine) Name() string { return e.name }
 
 // Reset implements Generator.
 func (e *engine) Reset() {
@@ -173,10 +110,10 @@ func (e *engine) Reset() {
 }
 
 func (e *engine) advancePhase() {
-	e.phaseIdx = (e.phaseIdx + 1) % len(e.prog.phases)
-	ph := &e.prog.phases[e.phaseIdx]
-	e.remaining = ph.length
-	k := &ph.k
+	e.phaseIdx = (e.phaseIdx + 1) % len(e.phases)
+	ph := &e.phases[e.phaseIdx]
+	e.remaining = ph.Length
+	k := &ph.Kernel
 	e.blk, e.idx, e.iter, e.blocksDone = 0, 0, 0, 0
 	e.pendingCall, e.inFn, e.fnIdx, e.fnPos = false, false, 0, 0
 	e.itersThis = e.drawIters(k)
@@ -210,7 +147,7 @@ func (e *engine) advancePhase() {
 	}
 }
 
-func (e *engine) drawIters(k *kernel) int {
+func (e *engine) drawIters(k *Kernel) int {
 	it := k.LoopIters
 	if k.IterJitter > 0 {
 		it += e.r.Intn(2*k.IterJitter+1) - k.IterJitter
@@ -227,7 +164,7 @@ func (e *engine) Next(in *isa.Instruction) {
 		e.advancePhase()
 	}
 	cp := &e.compiled[e.phaseIdx]
-	k := &e.prog.phases[e.phaseIdx].k
+	k := &e.phases[e.phaseIdx].Kernel
 
 	switch {
 	case e.pendingCall:
@@ -339,7 +276,7 @@ func (e *engine) Next(in *isa.Instruction) {
 // code, and it determines everything the timing model measures: chain count
 // sets ILP, load placement sets memory-level parallelism, and the consumes
 // establish the inter-cluster traffic once chains are steered apart.
-func (e *engine) fill(in *isa.Instruction, s *staticInstr, pc uint64, k *kernel) {
+func (e *engine) fill(in *isa.Instruction, s *staticInstr, pc uint64, k *Kernel) {
 	c := int(s.chain)
 	if c >= len(e.chainLast) {
 		c %= len(e.chainLast)
@@ -401,7 +338,7 @@ func (e *engine) distTo(marker uint64) uint32 {
 }
 
 // nextAddr produces the next effective address for chain c.
-func (e *engine) nextAddr(c int, k *kernel) uint64 {
+func (e *engine) nextAddr(c int, k *Kernel) uint64 {
 	if k.RandomAddr {
 		off := e.r.Uint64() % e.regionLen
 		return e.addrBase[c] + off&^7
@@ -446,8 +383,8 @@ func (m *mixCarry) take(carry *float64, want float64) int {
 }
 
 // compilePhase lays out a phase's static code from the kernel parameters.
-func compilePhase(idx int, k kernel, r *rng.Source) compiledPhase {
-	cp := compiledPhase{k: k, base: uint64(idx+1) * phaseStride}
+func compilePhase(idx int, k Kernel, r *rng.Source) compiledPhase {
+	cp := compiledPhase{base: uint64(idx+1) * phaseStride}
 	nb := k.StaticBlocks
 	if nb < 1 {
 		nb = 1
@@ -476,7 +413,7 @@ func compilePhase(idx int, k kernel, r *rng.Source) compiledPhase {
 // terminating slot (loop branch, or placeholder replaced by Return for
 // function bodies). Class counts are exact (stratified by carry); positions
 // are shuffled deterministically.
-func compileBlock(k kernel, r *rng.Source, loop bool, carry *mixCarry) []staticInstr {
+func compileBlock(k Kernel, r *rng.Source, loop bool, carry *mixCarry) []staticInstr {
 	n := k.LoopBody
 	if n < 4 {
 		n = 4

@@ -1,4 +1,4 @@
-package workload
+package engine
 
 import "clustersim/internal/snap"
 
@@ -99,7 +99,7 @@ func (e *engine) LoadState(r *snap.Reader) {
 			return
 		}
 	}
-	chains := e.prog.phases[phaseIdx].k.Chains
+	chains := e.phases[phaseIdx].Kernel.Chains
 	if chains < 1 {
 		chains = 1
 	}

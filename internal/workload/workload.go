@@ -1,4 +1,4 @@
-// Package workload synthesizes the instruction streams the simulator runs.
+// Package workload names the instruction streams the simulator runs.
 //
 // The paper evaluates nine programs — four SPEC2K integer (crafty, gzip,
 // parser, vpr), three SPEC2K floating-point (galgel, mgrid, swim) and two
@@ -8,9 +8,8 @@
 // of metrics: IPC, branch and memory-reference frequency, branch
 // predictability, the degree of *distant ILP* (instructions issued while far
 // behind the ROB head) and how all of those vary over time (phase
-// behaviour). This package substitutes each benchmark with a deterministic
-// synthetic program engineered to match the paper's published
-// characteristics for that benchmark:
+// behaviour). Each benchmark is therefore a deterministic synthetic program
+// engineered to match the paper's published characteristics for it:
 //
 //   - Table 3: baseline IPC class and branch-mispredict interval;
 //   - Table 4: phase structure (minimum stable interval length and
@@ -19,35 +18,24 @@
 //     galgel), which alternate between distant-ILP and low-ILP phases
 //     (gzip), and which have fine-grained phases (djpeg, cjpeg).
 //
-// Phase lengths are scaled ~10x down from the paper's (our simulation
-// windows are millions, not hundreds of millions, of instructions); the
-// ratio of phase length to measurement interval — the quantity the
-// algorithms are sensitive to — is preserved.
-//
-// A program is a cyclic sequence of phases; each phase is a set of
-// statically compiled basic blocks (stable PCs, so branch/bank/
-// reconfiguration predictors can learn) executed as loops, with dynamic
-// dependence distances that realize a target number of parallel dependence
-// chains. See engine.go for the execution model.
+// The nine benchmarks are defined once, as the checked-in spec files
+// specs/<bench>.json, which internal/spec embeds and compiles; New and
+// Benchmarks resolve names through it. docs/WORKLOADS.md records how each
+// spec was calibrated. Phase lengths are scaled ~10x down from the paper's
+// (our simulation windows are millions, not hundreds of millions, of
+// instructions); the ratio of phase length to measurement interval — the
+// quantity the algorithms are sensitive to — is preserved. The generator
+// engine itself lives in internal/workload/engine.
 package workload
 
 import (
-	"fmt"
-	"sort"
-
-	"clustersim/internal/isa"
+	"clustersim/internal/spec"
+	"clustersim/internal/workload/engine"
 )
 
 // Generator produces a deterministic committed-path instruction stream.
 // Implementations are not safe for concurrent use.
-type Generator interface {
-	// Name returns the benchmark name.
-	Name() string
-	// Next fills in with the next dynamic instruction.
-	Next(in *isa.Instruction)
-	// Reset rewinds the stream to the beginning.
-	Reset()
-}
+type Generator = engine.Generator
 
 // PaperData records the published characteristics a synthetic benchmark
 // targets, for the EXPERIMENTS.md paper-vs-measured comparison.
@@ -69,15 +57,20 @@ type PaperData struct {
 	PrefersWide bool
 }
 
-// Benchmarks returns the sorted benchmark names.
-func Benchmarks() []string {
-	names := make([]string, 0, len(programs))
-	for name := range programs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+var paperData = map[string]PaperData{
+	"cjpeg":  {Suite: "Mediabench", BaseIPC: 2.06, MispredictInterval: 82, MinStableInterval: 40e3, InstabilityAt10K: 9, PrefersWide: false},
+	"crafty": {Suite: "SPEC2k Int", BaseIPC: 1.85, MispredictInterval: 118, MinStableInterval: 320e3, InstabilityAt10K: 30, PrefersWide: false},
+	"djpeg":  {Suite: "Mediabench", BaseIPC: 4.07, MispredictInterval: 249, MinStableInterval: 1.28e6, InstabilityAt10K: 31, PrefersWide: true},
+	"galgel": {Suite: "SPEC2k FP", BaseIPC: 3.43, MispredictInterval: 88, MinStableInterval: 10e3, InstabilityAt10K: 1, PrefersWide: true},
+	"gzip":   {Suite: "SPEC2k Int", BaseIPC: 1.83, MispredictInterval: 87, MinStableInterval: 10e3, InstabilityAt10K: 4, PrefersWide: false},
+	"mgrid":  {Suite: "SPEC2k FP", BaseIPC: 2.28, MispredictInterval: 8977, MinStableInterval: 10e3, InstabilityAt10K: 0, PrefersWide: true},
+	"parser": {Suite: "SPEC2k Int", BaseIPC: 1.42, MispredictInterval: 88, MinStableInterval: 40e6, InstabilityAt10K: 12, PrefersWide: false},
+	"swim":   {Suite: "SPEC2k FP", BaseIPC: 1.67, MispredictInterval: 22600, MinStableInterval: 10e3, InstabilityAt10K: 0, PrefersWide: true},
+	"vpr":    {Suite: "SPEC2k Int", BaseIPC: 1.20, MispredictInterval: 171, MinStableInterval: 320e3, InstabilityAt10K: 14, PrefersWide: false},
 }
+
+// Benchmarks returns the sorted benchmark names.
+func Benchmarks() []string { return spec.Builtins() }
 
 // Paper returns the published characteristics for a benchmark name.
 func Paper(name string) (PaperData, bool) {
@@ -88,11 +81,11 @@ func Paper(name string) (PaperData, bool) {
 // New returns the named benchmark's generator, seeded deterministically.
 // The same (name, seed) pair always yields the identical stream.
 func New(name string, seed uint64) (Generator, error) {
-	p, ok := programs[name]
-	if !ok {
-		return nil, fmt.Errorf("workload: unknown benchmark %q (have %v)", name, Benchmarks())
+	s, err := spec.Builtin(name)
+	if err != nil {
+		return nil, err
 	}
-	return newEngine(p, seed), nil
+	return spec.Compile(s, seed)
 }
 
 // MustNew is New but panics on an unknown name.

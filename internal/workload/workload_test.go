@@ -17,8 +17,8 @@ func TestBenchmarksListed(t *testing.T) {
 		}
 	}
 	for _, n := range sortedKeys(paperData) {
-		if _, ok := programs[n]; !ok {
-			t.Errorf("paper data for %s has no program", n)
+		if _, err := New(n, 1); err != nil {
+			t.Errorf("paper data for %s has no program: %v", n, err)
 		}
 	}
 }
@@ -247,6 +247,7 @@ func TestCraftyHasCalls(t *testing.T) {
 func TestPhasesCycle(t *testing.T) {
 	// gzip alternates two 400K phases; over 1.7M instructions we must see
 	// PCs from both phases' code regions.
+	const phaseStride = 1 << 24 // engine PC space per phase
 	g := MustNew("gzip", 17)
 	regions := make(map[uint64]bool)
 	var in isa.Instruction
