@@ -375,6 +375,12 @@ func RecordTrace(gen Generator, n uint64, meta TraceMeta) *InstrTrace {
 	return trace.Record(gen, n, meta)
 }
 
+// RecordTraceFile drains n instructions from gen straight into a trace file
+// at path, packing them as they are drawn, and returns the written header.
+func RecordTraceFile(path string, gen Generator, n uint64, meta TraceMeta) (TraceHeader, error) {
+	return trace.RecordFile(path, gen, n, meta)
+}
+
 // NewTraceRecorder tees gen: the consumer sees the unmodified stream while
 // the recorder retains it for WriteTraceFile.
 func NewTraceRecorder(gen Generator) *TraceRecorder { return trace.NewRecorder(gen) }

@@ -1,6 +1,7 @@
 package clustersim_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"clustersim"
@@ -141,5 +142,49 @@ func TestGzipHeadlineResult(t *testing.T) {
 	}
 	if dyn.Reconfigs == 0 {
 		t.Fatal("adaptive scheme never reconfigured")
+	}
+}
+
+// TestTraceFilesViaFacade: the facade's trace surface round-trips one
+// stream three ways (streamed to a file, recorded then written, teed off a
+// live generator) and every reader sees the same identity and content.
+func TestTraceFilesViaFacade(t *testing.T) {
+	const n = 3000
+	meta := clustersim.TraceMeta{Name: "swim", SourceKind: clustersim.TraceSourceBench, SourceID: "swim", Seed: 2}
+	gen := func() clustersim.Generator {
+		g, err := clustersim.NewWorkload("swim", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	dir := t.TempDir()
+	streamed, written := filepath.Join(dir, "streamed.trace"), filepath.Join(dir, "written.trace")
+	h, err := clustersim.RecordTraceFile(streamed, gen(), n, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := clustersim.RecordTrace(gen(), n, meta)
+	if err := clustersim.WriteTraceFile(written, recorded); err != nil {
+		t.Fatal(err)
+	}
+	tee := clustersim.NewTraceRecorder(gen())
+	tee.Extend(n)
+	if teed := tee.Trace(meta); teed.Fingerprint() != h.Fingerprint {
+		t.Fatalf("teed fingerprint %016x, streamed %016x", teed.Fingerprint(), h.Fingerprint)
+	}
+	for _, path := range []string{streamed, written} {
+		peeked, err := clustersim.PeekTraceHeader(path)
+		if err != nil || peeked != h {
+			t.Fatalf("%s: header %+v (%v), want %+v", path, peeked, err, h)
+		}
+		decoded, err := clustersim.ReadTraceFile(path)
+		if err != nil || len(decoded.Instrs) != n || decoded.Fingerprint() != h.Fingerprint {
+			t.Fatalf("%s: ReadTraceFile: %v", path, err)
+		}
+		packed, err := clustersim.ReadPackedTraceFile(path)
+		if err != nil || packed.Len != n || packed.Fingerprint() != h.Fingerprint {
+			t.Fatalf("%s: ReadPackedTraceFile: %v", path, err)
+		}
 	}
 }

@@ -96,11 +96,11 @@ func main() {
 		}
 		// Record past -n so the same file replays under any policy: deeper
 		// fetch-ahead consumes more of the stream than the commit window.
-		t := clustersim.RecordTrace(gen, *n+clustersim.DefaultTraceHeadroom, meta)
-		if err := clustersim.WriteTraceFile(*recordTrace, t); err != nil {
+		h, err := clustersim.RecordTraceFile(*recordTrace, gen, *n+clustersim.DefaultTraceHeadroom, meta)
+		if err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("recorded %d instructions of %s to %s\n", len(t.Instrs), meta.Name, *recordTrace)
+		fmt.Printf("recorded %d instructions of %s to %s\n", h.Count, meta.Name, *recordTrace)
 		return
 	}
 

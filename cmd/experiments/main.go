@@ -201,7 +201,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: resume: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: resume: preloaded %d persisted result(s) from %s\n", n, *ckDir)
+		skipped := ""
+		if k := rn.Stats().PersistSkipped; k > 0 {
+			skipped = fmt.Sprintf(", skipped %d unusable entr(ies)", k)
+		}
+		fmt.Fprintf(os.Stderr, "experiments: resume: preloaded %d persisted result(s) from %s%s\n", n, *ckDir, skipped)
 	}
 	opts := experiments.Options{
 		Seed: *seed, Scale: *scale,
@@ -311,8 +315,8 @@ func main() {
 			// Salvaged sweep: the successful cells still render; the
 			// failed ones show "-" and land in the failure manifest.
 			partial = append(partial, id)
-			fmt.Fprintf(os.Stderr, "experiments: %s: %d of %d runs failed; printing partial tables\n",
-				id, len(se.Failures), se.Total)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %d of %d runs failed (first: %v); printing partial tables\n",
+				id, len(se.Failures), se.Total, se.Failures[0])
 		}
 		for _, table := range tables {
 			switch *format {

@@ -69,7 +69,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "policylab: resume: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "policylab: resume: preloaded %d persisted result(s) from %s\n", n, *ckDir)
+		skipped := ""
+		if k := rn.Stats().PersistSkipped; k > 0 {
+			skipped = fmt.Sprintf(", skipped %d unusable entr(ies)", k)
+		}
+		fmt.Fprintf(os.Stderr, "policylab: resume: preloaded %d persisted result(s) from %s%s\n", n, *ckDir, skipped)
 	}
 
 	// Windows come from the experiments package's calibrated per-benchmark

@@ -155,9 +155,10 @@ func (o Options) buildGenerator(bench string, seed uint64) (workload.Generator, 
 // RecordTraces records every workload in o's benchmark set (spec bindings
 // included) to dir, each o.Window(bench) + headroom instructions long
 // (headroom 0 selects trace.DefaultHeadroom), and returns how many traces
-// were written. A directory recorded at some -scale serves any replay at
-// the same or smaller scale under every policy: generation is machine-
-// independent, so the recorded prefix is exactly what live runs consume.
+// were written. Each stream is packed as it is generated (trace.RecordFile).
+// A directory recorded at some -scale serves any replay at the same or
+// smaller scale under every policy: generation is machine-independent, so
+// the recorded prefix is exactly what live runs consume.
 func RecordTraces(o Options, dir string, headroom uint64) (int, error) {
 	if headroom == 0 {
 		headroom = trace.DefaultHeadroom
@@ -171,8 +172,7 @@ func RecordTraces(o Options, dir string, headroom uint64) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		t := trace.Record(gen, o.Window(bench)+headroom, meta)
-		if err := trace.WriteFile(TraceFileName(dir, bench, o.seed()), t); err != nil {
+		if _, err := trace.RecordFile(TraceFileName(dir, bench, o.seed()), gen, o.Window(bench)+headroom, meta); err != nil {
 			return 0, err
 		}
 	}

@@ -139,6 +139,33 @@ func TestReplayMissingTraceFails(t *testing.T) {
 	}
 }
 
+// TestReplayVersion1TraceFails: a recording in the retired version-1
+// format leaves its cell uncacheable and fails it with a message naming
+// the version and the command that re-records it.
+func TestReplayVersion1TraceFails(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "gzip-v1.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := testOpts(t)
+	o.ReplayTraceDir = t.TempDir()
+	if err := os.WriteFile(TraceFileName(o.ReplayTraceDir, "gzip", o.Seed), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := o.request("v1", "gzip", pipeline.DefaultConfig(), o.Window("gzip"))
+	if !q.NoCache {
+		t.Fatalf("a version-1 trace must leave the request uncacheable")
+	}
+	_, err = runner.New(1).RunAll([]runner.Request{q})
+	var se *runner.SweepError
+	if !errors.As(err, &se) || len(se.Failures) != 1 {
+		t.Fatalf("want one-failure SweepError, got %v", err)
+	}
+	if msg := se.Failures[0].Err.Error(); !strings.Contains(msg, "format version 1") || !strings.Contains(msg, "-record-trace") {
+		t.Fatalf("failure does not name the version and the fix: %v", msg)
+	}
+}
+
 // TestReplayRejectsWrongWorkload: a trace recorded for one workload must
 // not satisfy a request for another, even at the same path.
 func TestReplayRejectsWrongWorkload(t *testing.T) {

@@ -97,8 +97,10 @@ func (r *Runner) persistResult(key uint64, res pipeline.Result) {
 // CheckpointDir by an earlier process, returning how many were loaded. The
 // fingerprint scheme is deterministic across processes, so a resumed sweep's
 // requests hit these entries and re-execute only the missing cells.
-// Unparseable files are skipped, not fatal: a torn write must not block a
-// resume.
+// Entries that hold no usable Result — names that are not a key, files
+// that cannot be read, JSON that does not decode — are skipped, not fatal
+// (a torn write must not block a resume), and counted in
+// Stats.PersistSkipped.
 func (r *Runner) LoadPersisted() (int, error) {
 	if r.CheckpointDir == "" {
 		return 0, nil
@@ -112,27 +114,34 @@ func (r *Runner) LoadPersisted() (int, error) {
 	}
 	loaded := 0
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
+		if r.loadResultFile(e) {
+			loaded++
 		}
-		hex := strings.TrimSuffix(name, ".json")
-		key, perr := strconv.ParseUint(hex, 16, 64)
-		if perr != nil || len(hex) != 16 {
-			continue
-		}
-		data, rerr := os.ReadFile(filepath.Join(r.resultsDir(), name))
-		if rerr != nil {
-			continue
-		}
-		var res pipeline.Result
-		if json.Unmarshal(data, &res) != nil {
-			continue
-		}
-		r.store(key, res)
-		loaded++
 	}
+	r.mu.Lock()
+	r.stats.PersistSkipped += len(entries) - loaded
+	r.mu.Unlock()
 	return loaded, nil
+}
+
+// loadResultFile preloads the Result persisted in one results/ entry,
+// reporting whether the entry held one.
+func (r *Runner) loadResultFile(e os.DirEntry) bool {
+	hex, ok := strings.CutSuffix(e.Name(), ".json")
+	key, err := strconv.ParseUint(hex, 16, 64)
+	if e.IsDir() || !ok || len(hex) != 16 || err != nil {
+		return false
+	}
+	data, err := os.ReadFile(filepath.Join(r.resultsDir(), e.Name()))
+	if err != nil {
+		return false
+	}
+	var res pipeline.Result
+	if json.Unmarshal(data, &res) != nil {
+		return false
+	}
+	r.store(key, res)
+	return true
 }
 
 // Manifest is the JSON document describing a sweep's failures: how many runs

@@ -234,14 +234,37 @@ func TestLoadPersisted(t *testing.T) {
 		}
 	}
 
-	// Torn files are skipped, not fatal.
-	if err := os.WriteFile(filepath.Join(dir, "results", "0123456789abcdef.json"), []byte("{"), 0o644); err != nil {
+	if st.PersistSkipped != 0 {
+		t.Fatalf("clean results dir reported %d skipped entries", st.PersistSkipped)
+	}
+
+	// A torn file, a foreign name, a non-key .json, a directory and an
+	// unreadable key file (a dangling link) are skipped, not fatal, and
+	// counted; the good entries still load.
+	results := filepath.Join(dir, "results")
+	for name, data := range map[string]string{
+		"0123456789abcdef.json": "{",
+		"notes.txt":             "x",
+		"0123.json":             "{}",
+	} {
+		if err := os.WriteFile(filepath.Join(results, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(results, "fedcba9876543210.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(dir, "absent"), filepath.Join(results, "1111111111111111.json")); err != nil {
 		t.Fatal(err)
 	}
 	r3 := New(1)
 	r3.CheckpointDir = dir
-	if _, err := r3.LoadPersisted(); err != nil {
+	n, err = r3.LoadPersisted()
+	if err != nil {
 		t.Fatalf("torn file broke LoadPersisted: %v", err)
+	}
+	if skipped := r3.Stats().PersistSkipped; n != 2 || skipped != 5 {
+		t.Fatalf("loaded %d, skipped %d; want 2 loaded, 5 skipped", n, skipped)
 	}
 }
 

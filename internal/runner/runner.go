@@ -250,6 +250,9 @@ type Stats struct {
 	Deduped   int
 	// Failures counts runs that exhausted their retries and failed.
 	Failures int
+	// PersistSkipped counts persisted-result entries LoadPersisted found
+	// but could not use: foreign names, unreadable files, undecodable JSON.
+	PersistSkipped int
 
 	// Inflight and QueueDepth are live gauges: runs currently executing on
 	// workers, and admitted requests still waiting for one.

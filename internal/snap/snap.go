@@ -248,17 +248,28 @@ func (r *Reader) length() int {
 	return int(n)
 }
 
-// Bytes reads a length-prefixed byte slice.
+// Bytes reads a length-prefixed byte slice. The buffer grows with the
+// bytes that actually arrive, doubling from 64 KiB up to exactly the
+// stated length, so a corrupt length fails at the truncation after
+// allocating at most twice what the stream held.
 func (r *Reader) Bytes() []byte {
 	n := r.length()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	if !r.read(b) {
-		return nil
+	b := make([]byte, min(n, 1<<16))
+	for off := 0; ; {
+		if !r.read(b[off:]) {
+			return nil
+		}
+		if len(b) == n {
+			return b
+		}
+		off = len(b)
+		grown := make([]byte, min(n, 2*off))
+		copy(grown, b)
+		b = grown
 	}
-	return b
 }
 
 // String reads a length-prefixed string.
@@ -340,6 +351,18 @@ func (r *Reader) Mark(name string) {
 	}
 	if got := r.String(); r.err == nil && got != name {
 		r.Failf("snap: expected section %q, found %q", name, got)
+	}
+}
+
+// End verifies that the stream holds nothing past what has been read.
+func (r *Reader) End() {
+	if r.err != nil {
+		return
+	}
+	if _, err := r.r.ReadByte(); err == nil {
+		r.Failf("snap: trailing bytes after the last section")
+	} else if err != io.EOF {
+		r.Fail(err)
 	}
 }
 

@@ -2,9 +2,13 @@ package snap
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestRoundTrip drives every primitive through a write/read cycle.
@@ -196,5 +200,71 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(enc(), enc()) {
 		t.Fatal("identical writes produced different bytes")
+	}
+}
+
+// TestBytesGrowsWithInput: a slice longer than the first read chunk round
+// trips across the buffer's growth steps, and a stated length far beyond
+// the bytes present fails at the truncation without reserving it.
+func TestBytesGrowsWithInput(t *testing.T) {
+	long := make([]byte, 300_000)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Bytes(long)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	if got := r.Bytes(); r.Err() != nil || !bytes.Equal(got, long) || cap(got) != len(long) {
+		t.Fatalf("Bytes: err=%v len=%d cap=%d, want %d/%d", r.Err(), len(got), cap(got), len(long), len(long))
+	}
+
+	buf.Reset()
+	w = NewWriter(&buf)
+	w.U64(maxLen) // forged length, allowed by the cap
+	w.U64(42)     // but only 8 bytes follow
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r = NewReader(bytes.NewReader(buf.Bytes()))
+	r.Bytes()
+	runtime.ReadMemStats(&after)
+	if r.Err() == nil {
+		t.Fatal("expected truncation error, got nil")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a forged length over 8 bytes allocated %d bytes", grew)
+	}
+}
+
+// TestEnd: End accepts an exhausted stream and rejects trailing bytes and
+// a failed read.
+func TestEnd(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U64(1)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	r.U64()
+	if r.End(); r.Err() != nil {
+		t.Fatalf("End on an exhausted stream: %v", r.Err())
+	}
+	r = NewReader(bytes.NewReader(append(buf.Bytes(), 0)))
+	r.U64()
+	if r.End(); r.Err() == nil {
+		t.Fatal("expected trailing-bytes error, got nil")
+	}
+	boom := errors.New("boom")
+	r = NewReader(io.MultiReader(bytes.NewReader(buf.Bytes()), iotest.ErrReader(boom)))
+	r.U64()
+	if r.End(); !errors.Is(r.Err(), boom) {
+		t.Fatalf("End over a failing reader: got %v, want %v", r.Err(), boom)
 	}
 }

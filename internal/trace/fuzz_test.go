@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"clustersim/internal/isa"
@@ -12,8 +11,10 @@ import (
 // FuzzTraceRoundTrip feeds arbitrary bytes to both loaders: they must
 // reject or accept the same inputs without panicking, an accepted input's
 // packed replay must yield exactly the decoded instructions, and anything
-// accepted must re-encode and re-decode to the identical trace (the codec
-// is a bijection on its valid range).
+// accepted must re-encode to exactly the input bytes (the reader accepts
+// only canonical encodings, so the codec is a bijection on its valid
+// range). The checked-in corpus holds version-2 encodings, valid and not,
+// plus one version-1 file that both loaders must reject.
 func FuzzTraceRoundTrip(f *testing.F) {
 	// Seed with real encodings so the fuzzer starts inside the valid
 	// format rather than spending the budget on magic-string discovery.
@@ -59,15 +60,11 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err := Write(&buf, tr); err != nil {
 			t.Fatalf("re-encoding an accepted trace failed: %v", err)
 		}
-		tr2, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decoding a re-encoded trace failed: %v", err)
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("an accepted input re-encodes to different bytes:\n  input:      %x\n  re-encoded: %x", data, buf.Bytes())
 		}
-		if !reflect.DeepEqual(tr, tr2) {
-			t.Fatalf("round trip changed the trace:\n  first:  %+v\n  second: %+v", tr.Meta, tr2.Meta)
-		}
-		if tr.Fingerprint() != tr2.Fingerprint() {
-			t.Fatalf("round trip changed the fingerprint")
+		if tr.Fingerprint() != p.Fingerprint() {
+			t.Fatalf("decoded fingerprint %016x, header %016x", tr.Fingerprint(), p.Fingerprint())
 		}
 	})
 }

@@ -3,16 +3,18 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
+	"fmt"
+	"math"
 	"sync"
 
 	"clustersim/internal/isa"
 )
 
-// Packed is a recorded stream in its compact in-memory form, about 4 bytes
-// per instruction against a decoded isa.Instruction's 56. It is what
-// replay runs from: immutable once built, so any number of Replayers (each
-// keeping only a cursor) may share one across goroutines.
+// Packed is a recorded stream in its compact form, about 4 bytes per
+// instruction against a decoded isa.Instruction's 56. It is what replay
+// runs from and, byte for byte, a trace file's payload: immutable once
+// built, so any number of Replayers (each keeping only a cursor) may share
+// one across goroutines.
 //
 // Each instruction is a uvarint header followed only by the fields that
 // are present:
@@ -25,8 +27,9 @@ import (
 //	Target   zigzag Target − PC, absent when zero
 //
 // All arithmetic wraps, so the encoding is lossless for every
-// isa.Instruction value, not only those the generators emit. The file
-// format is unaffected: packing is purely an in-memory representation.
+// isa.Instruction value, not only those the generators emit. Each value
+// has exactly one encoding, which is the only one a file may hold (see
+// check).
 type Packed struct {
 	Meta Meta
 	// Len is the number of recorded instructions.
@@ -61,35 +64,24 @@ func (t *Trace) Pack() *Packed {
 	return &Packed{Meta: t.Meta, Len: len(t.Instrs), data: e.bytes()}
 }
 
-// ReadPacked deserializes a trace straight into packed form, with exactly
-// Read's validation (the two share one decoder). The fingerprint comes from
-// the verified header.
-func ReadPacked(rd io.Reader) (*Packed, error) {
-	var p *Packed
-	var e encoder
-	err := readPayload(rd, func(h Header) {
-		p = &Packed{Meta: h.Meta, Len: int(h.Count)}
-		// readPayload fails unless the content hashes to this value.
-		p.fpOnce.Do(func() { p.fp = h.Fingerprint })
-		e.buf = make([]byte, 0, capHint(h.Count))
-	}, e.add)
-	if err != nil {
-		return nil, err
-	}
-	p.data = e.bytes()
-	return p, nil
+// packed wraps an encoding of h.Count instructions whose fingerprint is
+// already known.
+func packed(h Header, data []byte) *Packed {
+	p := &Packed{Meta: h.Meta, Len: int(h.Count), data: data}
+	p.fpOnce.Do(func() { p.fp = h.Fingerprint })
+	return p
 }
 
 // Fingerprint returns the content fingerprint (see Trace.Fingerprint),
 // computing it on first use.
 func (p *Packed) Fingerprint() uint64 {
 	p.fpOnce.Do(func() {
-		h := newHasher(p.Meta, uint64(p.Len))
+		h := newFingerprint(p.Meta, uint64(p.Len))
 		var c cursor
 		var in isa.Instruction
 		for i := 0; i < p.Len; i++ {
 			c.next(p.data, &in)
-			h.add(&in)
+			h.instr(&in)
 		}
 		p.fp = h.sum()
 	})
@@ -209,8 +201,121 @@ func (c *cursor) uvarint(data []byte) uint64 {
 	return v
 }
 
-// varint decodes a zigzag field (binary.AppendVarint's encoding).
-func (c *cursor) varint(data []byte) int64 {
-	u := c.uvarint(data)
-	return int64(u>>1) ^ -int64(u&1)
+// varint decodes a zigzag field.
+func (c *cursor) varint(data []byte) int64 { return zigzag(c.uvarint(data)) }
+
+// zigzag decodes binary.AppendVarint's encoding of a signed value.
+func zigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// check validates a file payload against the instruction count its header
+// states, folding every decoded instruction into fp. It accepts exactly
+// the bytes encoder.add produces for count instructions whose classes are
+// below isa.NumClasses: presence bits agree with non-zero fields, a PC of
+// the previous PC + 4 is only ever the sequential bit, every varint is
+// minimal and fits 64 bits, distances fit 32 bits, and the instructions
+// fill data to its last byte.
+func check(data []byte, count uint64, fp *fingerprint) error {
+	k := checker{data: data}
+	var in isa.Instruction
+	for i := uint64(0); i < count; i++ {
+		if k.next(&in); k.err != nil {
+			return fmt.Errorf("trace: %w (instruction %d)", k.err, i)
+		}
+		fp.instr(&in)
+	}
+	if k.off != len(data) {
+		return fmt.Errorf("trace: %d payload bytes left after %d instructions", len(data)-k.off, count)
+	}
+	return nil
 }
+
+// checker decodes like cursor.next, verifying every field on the way; the
+// first violation sticks in err.
+type checker struct {
+	cursor
+	data []byte
+	err  error
+}
+
+func (k *checker) failf(format string, args ...any) {
+	if k.err == nil {
+		k.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (k *checker) next(in *isa.Instruction) {
+	h := k.uvarint()
+	if class := h >> pClassShift; class >= uint64(isa.NumClasses) {
+		k.failf("invalid instruction class %d", class)
+	}
+	pc := k.pc + 4
+	if h&pSeqPC == 0 {
+		d := k.varint()
+		if d == 4 {
+			k.failf("sequential PC encoded as a delta")
+		}
+		pc = k.pc + uint64(d)
+	}
+	*in = isa.Instruction{
+		PC:        pc,
+		Class:     isa.Class(h >> pClassShift),
+		HasDest:   h&pHasDest != 0,
+		Taken:     h&pTaken != 0,
+		EndsBlock: h&pEndsBlock != 0,
+	}
+	in.SrcDist1 = k.dist(h&pSrc1 != 0)
+	in.SrcDist2 = k.dist(h&pSrc2 != 0)
+	if h&pAddr != 0 {
+		k.addr += uint64(k.varint())
+		if k.addr == 0 {
+			k.failf("address marked present is zero")
+		}
+		in.Addr = k.addr
+	}
+	if h&pTarget != 0 {
+		if in.Target = pc + uint64(k.varint()); in.Target == 0 {
+			k.failf("target marked present is zero")
+		}
+	}
+	k.pc = pc
+}
+
+// dist decodes a source distance marked present, which must be non-zero
+// and fit 32 bits.
+func (k *checker) dist(present bool) uint32 {
+	if !present {
+		return 0
+	}
+	v := k.uvarint()
+	if v == 0 {
+		k.failf("source distance marked present is zero")
+	}
+	if v > math.MaxUint32 {
+		k.failf("source distance %d overflows 32 bits", v)
+	}
+	return uint32(v)
+}
+
+// uvarint decodes one uvarint, which must lie inside data, fit 64 bits and
+// be minimal (no trailing zero byte after a continuation).
+func (k *checker) uvarint() uint64 {
+	if k.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(k.data[k.off:])
+	switch {
+	case n == 0:
+		k.failf("payload too short")
+	case n < 0:
+		k.failf("varint overflows 64 bits")
+	case n > 1 && k.data[k.off+n-1] == 0:
+		k.failf("overlong varint")
+	default:
+		k.off += n
+		return v
+	}
+	return 0
+}
+
+// varint decodes a zigzag field.
+func (k *checker) varint() int64 { return zigzag(k.uvarint()) }

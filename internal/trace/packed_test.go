@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -96,18 +97,20 @@ func TestPackedRoundTripEdgeCases(t *testing.T) {
 }
 
 // TestPackedRealTraces: packing is lossless on every built-in benchmark's
-// stream, the file loads to the same packed form either way, and the
-// in-memory cost stays near 4 bytes per instruction.
+// stream, the file's payload is exactly the packed form, and both the
+// in-memory and the on-disk cost stay near 4 bytes per instruction.
 func TestPackedRealTraces(t *testing.T) {
 	const n = 20_000
 	dir := t.TempDir()
 	var packedBytes, instrs int
 	for _, bench := range workload.Benchmarks() {
+		meta := Meta{Name: bench, SourceKind: SourceBench, SourceID: bench, Seed: 1}
+		header := len(encode(t, &Trace{Meta: meta}))
 		gen, err := workload.New(bench, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := Record(gen, n, Meta{Name: bench, SourceKind: SourceBench, SourceID: bench, Seed: 1})
+		tr := Record(gen, n, meta)
 		p := tr.Pack()
 		samePacked(t, tr, p)
 		path := filepath.Join(dir, bench+".trace")
@@ -122,6 +125,13 @@ func TestPackedRealTraces(t *testing.T) {
 		if !bytes.Equal(fromFile.data, p.data) {
 			t.Fatalf("%s: file-loaded packing differs from Pack", bench)
 		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := 4.5*n + float64(header); float64(st.Size()) > limit {
+			t.Fatalf("%s: %d-instruction file takes %d bytes, want <= %.0f (4.5 B/instr + header)", bench, n, st.Size(), limit)
+		}
 		packedBytes += len(p.data)
 		instrs += n
 	}
@@ -130,10 +140,58 @@ func TestPackedRealTraces(t *testing.T) {
 	}
 }
 
+// TestRecordFile: the streaming recorder writes exactly the file that
+// Record followed by WriteFile writes, and returns its header.
+func TestRecordFile(t *testing.T) {
+	const n = 5000
+	meta := Meta{Name: "vpr", SourceKind: SourceBench, SourceID: "vpr", Seed: 7}
+	dir := t.TempDir()
+	gen, err := workload.New("vpr", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := filepath.Join(dir, "streamed.trace")
+	h, err := RecordFile(streamed, gen, n, meta)
+	if err != nil {
+		t.Fatalf("RecordFile: %v", err)
+	}
+	gen, err = workload.New("vpr", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := Record(gen, n, meta)
+	decoded := filepath.Join(dir, "decoded.trace")
+	if err := WriteFile(decoded, tr); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Header{Meta: meta, Count: n, Fingerprint: tr.Fingerprint()}); h != want {
+		t.Fatalf("RecordFile header %+v, want %+v", h, want)
+	}
+	a, err := os.ReadFile(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("RecordFile wrote %d bytes that differ from WriteFile(Record)'s %d", len(a), len(b))
+	}
+	if _, err := RecordFile(filepath.Join(dir, "absent", "x.trace"), gen, 1, meta); err == nil {
+		t.Fatalf("RecordFile into a missing directory succeeded")
+	}
+}
+
 func TestReadPackedFileMissing(t *testing.T) {
-	_, err := ReadPackedFile(filepath.Join(t.TempDir(), "absent.trace"))
-	if err == nil || !strings.Contains(err.Error(), "trace:") {
-		t.Fatalf("missing file: got %v", err)
+	path := filepath.Join(t.TempDir(), "absent.trace")
+	_, rerr := ReadFile(path)
+	_, perr := ReadPackedFile(path)
+	_, herr := PeekHeader(path)
+	for _, err := range []error{rerr, perr, herr} {
+		if err == nil || !strings.Contains(err.Error(), "trace:") {
+			t.Fatalf("missing file: got %v", err)
+		}
 	}
 }
 

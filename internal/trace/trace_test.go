@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,25 +87,35 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRejectsCorruption flips every byte of a valid encoding, one at a
-// time, and demands a loud failure: between field validation, section
-// marks and the content fingerprint, no single-byte corruption may load.
+// TestReadRejectsCorruption applies every single-byte flip (each byte,
+// each of the 255 non-zero XOR masks) to a valid encoding and demands a
+// loud failure: between the canonical-encoding checks, section marks and
+// the content fingerprint, no single-byte corruption may load.
 func TestReadRejectsCorruption(t *testing.T) {
 	data := encode(t, record(t, 16))
+	mut := make([]byte, len(data))
 	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x41
-		rejectBoth(t, mut, "", fmt.Sprintf("flip at byte %d of %d", i, len(data)))
+		for mask := 1; mask < 256; mask++ {
+			copy(mut, data)
+			mut[i] ^= byte(mask)
+			rejectBoth(t, mut, "", fmt.Sprintf("flip %#02x at byte %d of %d", mask, i, len(data)))
+		}
 	}
 }
 
+// TestReadRejectsTruncation cuts a valid encoding at every prefix length.
 func TestReadRejectsTruncation(t *testing.T) {
 	data := encode(t, record(t, 16))
-	for _, cut := range []int{0, 1, 10, 18, 50, len(data) / 2, len(data) - 1} {
+	for cut := range data {
 		rejectBoth(t, data[:cut], "", fmt.Sprintf("truncation to %d of %d bytes", cut, len(data)))
 	}
 }
 
+// TestReadRejectsWrongMagicAndVersion: a foreign file, a future version and
+// a real version-1 recording (testdata/gzip-v1.trace, written by the
+// six-word codec) all fail before any payload is read; a version-1 file
+// names its version and the commands that re-record it, through every
+// entry point that opens a trace file.
 func TestReadRejectsWrongMagicAndVersion(t *testing.T) {
 	tr := record(t, 4)
 	h := Header{Meta: tr.Meta, Count: uint64(len(tr.Instrs)), Fingerprint: tr.Fingerprint()}
@@ -126,6 +138,25 @@ func TestReadRejectsWrongMagicAndVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	rejectBoth(t, buf.Bytes(), "version", "future version")
+
+	v1 := filepath.Join("testdata", "gzip-v1.trace")
+	data, err := os.ReadFile(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "format version 1 (this build reads version 2; re-record with experiments -record-trace or clustersim -record-trace)"
+	rejectBoth(t, data, want, "version-1 file")
+	_, rerr := ReadFile(v1)
+	_, perr := ReadPackedFile(v1)
+	_, herr := PeekHeader(v1)
+	for _, c := range []struct {
+		name string
+		err  error
+	}{{"ReadFile", rerr}, {"ReadPackedFile", perr}, {"PeekHeader", herr}} {
+		if c.err == nil || !strings.Contains(c.err.Error(), want) || !strings.Contains(c.err.Error(), v1) {
+			t.Errorf("%s of a version-1 file: got %v", c.name, c.err)
+		}
+	}
 }
 
 // writeHeaderTail writes the header fields after magic+version, letting
@@ -140,6 +171,77 @@ func writeHeaderTail(w *snap.Writer, h Header) {
 	w.U64(h.Fingerprint)
 }
 
+// craft assembles a version-2 file around a hand-built payload: the header
+// of the given instructions (their count and true fingerprint), then
+// payload in place of their packed bytes.
+func craft(t *testing.T, instrs []isa.Instruction, payload []byte) []byte {
+	t.Helper()
+	tr := &Trace{Meta: Meta{Name: "crafted", SourceKind: SourceCustom, Seed: 3}, Instrs: instrs}
+	var buf bytes.Buffer
+	w := snap.NewWriter(&buf)
+	writeHeader(w, Header{Meta: tr.Meta, Count: uint64(len(instrs)), Fingerprint: tr.Fingerprint()})
+	w.Mark("instr")
+	w.Bytes(payload)
+	w.Mark("end")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// uvs concatenates uvarints into a hand-built payload; zz is the zigzag
+// form of a signed delta.
+func uvs(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+func zz(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+// TestReadRejectsNonCanonical: the reader accepts only the bytes Pack
+// produces. Each case's header carries the true count and fingerprint of
+// the instructions its payload decodes to, so nothing but the named
+// encoding rule can object; the first case is the control, Pack's own
+// encoding, which must load.
+func TestReadRejectsNonCanonical(t *testing.T) {
+	at := func(pc uint64) []isa.Instruction { return []isa.Instruction{{PC: pc}} }
+	cases := []struct {
+		name    string
+		instrs  []isa.Instruction
+		payload []byte
+		want    string // "" accepts
+	}{
+		{"control: Pack's encoding", at(0x1000), uvs(0, zz(0x1000)), ""},
+		{"overlong header varint", at(0x1000), append([]byte{0x80, 0x00}, uvs(zz(0x1000))...), "overlong varint"},
+		{"overlong field varint", at(1), []byte{0x00, 0x82, 0x00}, "overlong varint"},
+		{"varint past 64 bits", at(0), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, "overflows 64 bits"},
+		{"varint past 10 bytes", at(0), bytes.Repeat([]byte{0x80}, 11), "overflows 64 bits"},
+		{"sequential PC as a delta", at(4), uvs(0, zz(4)), "sequential PC"},
+		{"zero distance marked present", at(0x10), uvs(pSrc2, zz(0x10), 0), "distance marked present is zero"},
+		{"zero address marked present", at(0x10), uvs(pAddr, zz(0x10), zz(0)), "address marked present is zero"},
+		{"zero target marked present", at(0x10), uvs(pTarget, zz(0x10), zz(-0x10)), "target marked present is zero"},
+		{"bad class", []isa.Instruction{{PC: 0x10, Class: isa.NumClasses}}, uvs(uint64(isa.NumClasses)<<pClassShift, zz(0x10)), "invalid instruction class"},
+		{"distance above 2^32-1", []isa.Instruction{{PC: 0x10, SrcDist1: 1}}, uvs(pSrc1, zz(0x10), 1<<32+1), "overflows 32 bits"},
+		{"payload shorter than count", append(at(0x10), isa.Instruction{PC: 0x14}), uvs(0, zz(0x10)), "payload too short"},
+		{"bytes left after count instructions", at(0x10), uvs(0, zz(0x10), pSeqPC), "payload bytes left"},
+	}
+	for _, c := range cases {
+		data := craft(t, c.instrs, c.payload)
+		if c.want != "" {
+			rejectBoth(t, data, c.want, c.name)
+			continue
+		}
+		for _, l := range loaders {
+			if err := l.load(bytes.NewReader(data)); err != nil {
+				t.Fatalf("%s: %s: %v", l.name, c.name, err)
+			}
+		}
+	}
+}
+
 func TestReadRejectsHugeCount(t *testing.T) {
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
@@ -150,15 +252,50 @@ func TestReadRejectsHugeCount(t *testing.T) {
 	rejectBoth(t, buf.Bytes(), "count", "oversized count")
 }
 
+// TestReadRejectsPayloadLength: a payload length beyond the bytes present,
+// or beyond snap's length cap, fails; and neither it nor a count at the
+// limit over a short payload drives an allocation anywhere near what they
+// state.
+func TestReadRejectsPayloadLength(t *testing.T) {
+	// forged states count and length over eight zero payload bytes (four
+	// instructions that repeat PC 0).
+	forged := func(count, length uint64) []byte {
+		var buf bytes.Buffer
+		w := snap.NewWriter(&buf)
+		writeHeader(w, Header{Meta: Meta{Name: "x"}, Count: count})
+		w.Mark("instr")
+		w.U64(length)
+		w.U64(0)
+		w.Mark("end")
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rejectBoth(t, forged(1, 1<<28+1), "length", "length over the cap")
+	for _, f := range []struct {
+		what, want string
+		data       []byte
+	}{
+		{"length beyond the bytes present", "truncated", forged(4, 1<<28)},
+		{"count at the limit over a short payload", "payload too short", forged(maxCount, 8)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rejectBoth(t, f.data, f.want, f.what)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: loading allocated %d bytes", f.what, grew)
+		}
+	}
+}
+
 func TestReadRejectsInvalidClass(t *testing.T) {
 	tr := record(t, 2)
 	tr.Instrs[1].Class = isa.NumClasses // out of range
-	// Recompute the fingerprint so only the class check can object.
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	rejectBoth(t, buf.Bytes(), "class", "invalid class")
+	// Write packs it faithfully with a true fingerprint, so only the class
+	// check can object.
+	rejectBoth(t, encode(t, tr), "class", "invalid class")
 }
 
 func TestReadRejectsFingerprintMismatch(t *testing.T) {
@@ -167,16 +304,17 @@ func TestReadRejectsFingerprintMismatch(t *testing.T) {
 	w := snap.NewWriter(&buf)
 	writeHeader(w, Header{Meta: tr.Meta, Count: uint64(len(tr.Instrs)), Fingerprint: tr.Fingerprint() ^ 1})
 	w.Mark("instr")
-	for i := range tr.Instrs {
-		for _, word := range packInstr(&tr.Instrs[i]) {
-			w.U64(word)
-		}
-	}
+	w.Bytes(tr.Pack().data)
 	w.Mark("end")
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	rejectBoth(t, buf.Bytes(), "fingerprint", "fingerprint mismatch")
+}
+
+// TestReadRejectsTrailingBytes: nothing may follow the end mark.
+func TestReadRejectsTrailingBytes(t *testing.T) {
+	rejectBoth(t, append(encode(t, record(t, 4)), 0), "trailing", "byte after the end mark")
 }
 
 func TestMetaVerify(t *testing.T) {
