@@ -243,7 +243,9 @@ func BenchmarkAblations(b *testing.B) {
 // artifact; a regression guard for the engine itself) on every bundled
 // benchmark. The plain sub-benchmarks run the default event-driven stepper;
 // the /legacy variants run the seed per-cycle scan stepper, so one run
-// yields the before/after comparison recorded in BENCH_fastloop.json.
+// compares the two steppers on one machine. Read its ns/op directly: it is
+// never a speed claim (clusterbench, bench/README.md, measures those), and
+// internal/pipeline's TestSteadyStateAllocBudget pins the allocations.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	throughput := func(b *testing.B, bench string, legacy bool) {
 		gen, err := clustersim.NewWorkload(bench, 1)

@@ -8,7 +8,6 @@
 //	experiments -run fig5 -spec specs/phase-thrash.json -bench phase-thrash
 //	experiments -record-trace traces && experiments -run all -replay-trace traces
 //	experiments -run policy,counterfactual -policy-spec specs/policy/dilp-1k.json,specs/policy/fg-window540.json
-//	experiments -search 16 -bench gzip,vpr -scale 0.1
 //
 // Each experiment prints an aligned table whose rows/series correspond to
 // the paper artifact named by its ID (see -list). EXPERIMENTS.md records
@@ -69,7 +68,6 @@ import (
 	"clustersim/internal/runner"
 	"clustersim/internal/spec"
 	"clustersim/internal/telemetry"
-	"clustersim/internal/workload"
 )
 
 func main() {
@@ -99,7 +97,6 @@ func main() {
 	specFiles := flag.String("spec", "", "comma-separated declarative workload spec files to add to the benchmark set")
 	policySpecs := flag.String("policy-spec", "", "comma-separated policy spec files for the policy/counterfactual experiments (first = counterfactual base)")
 	cfK := flag.Int("counterfactual-k", 0, "alternative policies replayed per decision trace in the counterfactual experiment (0 = 3)")
-	searchN := flag.Int("search", 0, "run a deterministic policy tournament with this population instead of experiments (prints a ranked CSV leaderboard)")
 	recordTraceDir := flag.String("record-trace", "", "record every workload's instruction stream under this directory and exit without running experiments")
 	replayTraceDir := flag.String("replay-trace", "", "replay recorded instruction streams from this directory instead of generating workloads")
 	flag.Parse()
@@ -246,35 +243,6 @@ func main() {
 		}
 	}
 	opts.CounterfactualK = *cfK
-	if *searchN > 0 {
-		searchBenches := opts.Benchmarks
-		if len(searchBenches) == 0 {
-			searchBenches = workload.Benchmarks()
-		}
-		lb, err := policy.Search(policy.SearchOptions{
-			Seed:         *seed,
-			Population:   *searchN,
-			Benchmarks:   searchBenches,
-			Window:       opts.Window,
-			WorkloadSeed: *seed,
-			Runner:       rn,
-			Progress: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "experiments: search: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: search: %v\n", err)
-			os.Exit(1)
-		}
-		if err := lb.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: search: %v\n", err)
-			os.Exit(1)
-		}
-		st := rn.Stats()
-		fmt.Fprintf(os.Stderr, "experiments: search: %d candidates, %d simulator runs, %d cache hits\n",
-			len(lb.Entries), st.Runs, st.CacheHits)
-		return
-	}
 	if *recordTraceDir != "" {
 		n, err := experiments.RecordTraces(opts, *recordTraceDir, 0)
 		if err != nil {

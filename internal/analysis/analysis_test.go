@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -127,5 +128,25 @@ func TestLoaderSharesTestPackageIdentity(t *testing.T) {
 		if test.reportFiles[f] {
 			t.Errorf("file %s reportable from both units", f)
 		}
+	}
+}
+
+// TestLoaderHonoursBuildConstraints: a package with a race/!race pair of
+// files declaring the same constant loads as the default build (the !race
+// twin only), as go vet sees it, instead of failing on the redeclaration.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	units, err := NewFixtureLoader("testdata/src").Load("tagged")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(units) != 1 {
+		t.Fatalf("got %d units, want 1", len(units))
+	}
+	var names []string
+	for _, f := range units[0].Files {
+		names = append(names, filepath.Base(units[0].Fset.File(f.Pos()).Name()))
+	}
+	if got := strings.Join(names, ","); got != "norace.go,tagged.go" {
+		t.Errorf("loaded files %s, want norace.go,tagged.go", got)
 	}
 }

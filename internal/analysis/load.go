@@ -260,7 +260,9 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 
 // splitSources classifies a directory's files. goFiles are production
 // sources, testFiles are same-package _test.go files, xtestFiles belong to
-// the external <pkg>_test package.
+// the external <pkg>_test package. Like go vet, it sees the default build:
+// a file whose build constraints exclude it (the //go:build race half of a
+// race/!race pair, say) is skipped, or it would redeclare its twin's names.
 func splitSources(dir string) (goFiles, testFiles, xtestFiles []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -269,6 +271,13 @@ func splitSources(dir string) (goFiles, testFiles, xtestFiles []string, err erro
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		match, merr := build.Default.MatchFile(dir, name)
+		if merr != nil {
+			return nil, nil, nil, merr
+		}
+		if !match {
 			continue
 		}
 		full := filepath.Join(dir, name)

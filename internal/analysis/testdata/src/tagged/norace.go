@@ -1,0 +1,5 @@
+//go:build !race
+
+package tagged
+
+const raceEnabled = false

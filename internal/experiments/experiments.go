@@ -127,8 +127,6 @@ func (o Options) benchmarks() []string {
 	return names
 }
 
-// window returns the simulation window for a benchmark: long enough to
-// cover its full phase cycle several times.
 // Window returns the calibrated simulation window for a benchmark (long
 // enough to cover its full phase cycle), scaled by Scale.
 func (o Options) Window(bench string) uint64 {

@@ -1,15 +1,22 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"clustersim/internal/runner"
 )
+
+// -update rewrites the golden files under testdata from the current code.
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // tinyOpts keeps experiment tests fast: two benchmarks, small windows.
 func tinyOpts() Options {
@@ -118,6 +125,16 @@ func TestParams(t *testing.T) {
 	}
 }
 
+// checkFraction fails unless column col of every row is a number in [0, 1].
+func checkFraction(t *testing.T, tb *Table, col int) {
+	t.Helper()
+	for _, r := range tb.Rows {
+		if c := r.Cells[col]; !c.IsNum || c.Value < 0 || c.Value > 1 {
+			t.Errorf("%s %s: %q is not a fraction", r.Name, tb.Columns[col], c.Text)
+		}
+	}
+}
+
 func TestTable3Tiny(t *testing.T) {
 	tb, err := Table3(tinyOpts())
 	if err != nil {
@@ -131,6 +148,8 @@ func TestTable3Tiny(t *testing.T) {
 			t.Errorf("%s: non-positive IPC", r.Name)
 		}
 	}
+	checkFraction(t, tb, 5) // branch-frac
+	checkFraction(t, tb, 6) // mem-frac
 }
 
 func TestFig3Tiny(t *testing.T) {
@@ -144,6 +163,38 @@ func TestFig3Tiny(t *testing.T) {
 				t.Errorf("%s col %d: non-positive IPC", r.Name, i)
 			}
 		}
+	}
+	checkFraction(t, tb, 5) // distant(16)
+}
+
+// TestCharacterizationGoldenCSV pins the Table 3 + Fig 3 CSV of the tiny
+// sweep byte for byte: the benchmark characterization (IPC, mispredict
+// interval, instruction mix, distant-ILP degree) the paper's workloads are
+// judged by. A diff means an intended simulator or workload change
+// (re-bless with `go test ./internal/experiments -run GoldenCSV -update`)
+// or an unintended determinism break.
+func TestCharacterizationGoldenCSV(t *testing.T) {
+	var got bytes.Buffer
+	for _, f := range []func(Options) (*Table, error){Table3, Fig3} {
+		tb, err := f(tinyOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(tb.CSV())
+	}
+	path := filepath.Join("testdata", "characterization.csv")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("CSV drifted from the golden:\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
 	}
 }
 
@@ -357,6 +408,19 @@ func TestSalvagePartialTable(t *testing.T) {
 		for _, c := range row.Cells {
 			if c.Text != "-" {
 				t.Fatalf("failed cell rendered data: %+v", row)
+			}
+		}
+	}
+	// Table 3's measured columns go dark too; its suite and paper
+	// columns are published data, not runs.
+	tab, err = Table3(o)
+	if !salvageable(err) || tab == nil {
+		t.Fatalf("table3: want a salvaged table, got %v, %v", tab, err)
+	}
+	for _, row := range tab.Rows {
+		for _, col := range []int{1, 3, 5, 6} { // IPC, mispred-int, branch-frac, mem-frac
+			if c := row.Cells[col]; c.Text != "-" {
+				t.Fatalf("table3 %s %s: failed cell rendered %q", row.Name, tab.Columns[col], c.Text)
 			}
 		}
 	}

@@ -12,14 +12,16 @@ import (
 
 // Table3 reproduces the benchmark-characterization table: base IPC on the
 // monolithic machine and instructions per branch mispredict, against the
-// paper's published values.
+// paper's published values, plus the measured instruction mix (branches
+// and memory references per committed instruction).
 func Table3(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "table3",
 		Title:   "Benchmark characterization (paper Table 3)",
-		Columns: []string{"suite", "IPC", "IPC(paper)", "mispred-int", "mispred-int(paper)"},
+		Columns: []string{"suite", "IPC", "IPC(paper)", "mispred-int", "mispred-int(paper)", "branch-frac", "mem-frac"},
 		Notes: []string{
 			"IPC measured on the monolithic machine (16-cluster resources, no communication cost)",
+			"branch-frac and mem-frac: branches and loads+stores per committed instruction",
 		},
 	}
 	benches := o.benchmarks()
@@ -37,9 +39,11 @@ func Table3(o Options) (*Table, error) {
 	for i, b := range benches {
 		pd, _ := workload.Paper(b)
 		r := rs[i]
-		mispred := Str("-")
+		mispred, branches, mems := Str("-"), Str("-"), Str("-")
 		if !failed(r) {
 			mispred = Num(r.MispredictInterval(), 0)
+			branches = Num(float64(r.Branch.Lookups)/float64(r.Instructions), 4)
+			mems = Num(float64(r.Mem.Loads+r.Mem.Stores)/float64(r.Instructions), 4)
 		}
 		t.Rows = append(t.Rows, Row{Name: b, Cells: []Cell{
 			Str(pd.Suite),
@@ -47,18 +51,25 @@ func Table3(o Options) (*Table, error) {
 			Num(pd.BaseIPC, 2),
 			mispred,
 			Num(pd.MispredictInterval, 0),
+			branches,
+			mems,
 		}})
 	}
 	return t, err
 }
 
 // Fig3 reproduces Figure 3: IPC of statically fixed 2/4/8/16-cluster
-// organizations with the centralized cache and ring interconnect.
+// organizations with the centralized cache and ring interconnect, plus the
+// §4.3 distant-ILP degree of the 16-cluster run, which decides whether the
+// wide organization pays.
 func Fig3(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "fig3",
 		Title:   "IPC of fixed cluster organizations (paper Figure 3)",
-		Columns: []string{"2", "4", "8", "16", "best"},
+		Columns: []string{"2", "4", "8", "16", "best", "distant(16)"},
+		Notes: []string{
+			"distant(16): fraction of committed instructions of the 16-cluster run that issued >=120 behind the ROB head",
+		},
 	}
 	counts := []int{2, 4, 8, 16}
 	benches := o.benchmarks()
@@ -91,7 +102,11 @@ func Fig3(o Options) (*Table, error) {
 		if bestN > 0 {
 			bestCell = Str(fmt.Sprintf("%d", bestN))
 		}
-		row.Cells = append(row.Cells, bestCell)
+		distant := Str("-")
+		if wide := rs[(bi+1)*len(counts)-1]; !failed(wide) { // the 16-cluster cell
+			distant = Num(wide.DistantILPFraction(), 4)
+		}
+		row.Cells = append(row.Cells, bestCell, distant)
 		t.Rows = append(t.Rows, row)
 	}
 	return t, err

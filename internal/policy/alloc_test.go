@@ -30,8 +30,8 @@ func TestRecorderDisabledAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderDisabled feeds commits through a nil-trace Recorder; the
-// CI benchdiff gate watches its allocs/op (must stay 0).
+// BenchmarkRecorderDisabled feeds commits through a nil-trace Recorder; CI's
+// policy-search-smoke job fails if its allocs/op is ever above 0.
 func BenchmarkRecorderDisabled(b *testing.B) {
 	spec, err := Paper("distant-ilp")
 	if err != nil {

@@ -12,6 +12,9 @@ import (
 	"clustersim/specs"
 )
 
+// blockStride is the PC space the generator engine gives each basic block.
+const blockStride = 1 << 13
+
 // sortedKeys returns a map's keys in sorted order so test sweeps iterate
 // (and report failures) deterministically.
 func sortedKeys[V any](m map[string]V) []string {

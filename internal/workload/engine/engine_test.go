@@ -1,4 +1,4 @@
-package workload
+package engine_test
 
 import (
 	"slices"
@@ -28,7 +28,7 @@ func testKernel() engine.Kernel {
 }
 
 // engineFor builds a one-phase program over k that never changes phase.
-func engineFor(t *testing.T, k engine.Kernel, seed uint64) Generator {
+func engineFor(t *testing.T, k engine.Kernel, seed uint64) engine.Generator {
 	t.Helper()
 	g, err := engine.Custom("test", []engine.Phase{{Name: "p0", Length: 1 << 40, Kernel: k}}, seed)
 	if err != nil {
@@ -47,7 +47,7 @@ type slot struct {
 
 // staticBlocks drains n instructions from g and returns every basic block's
 // slots, blocks in PC order.
-func staticBlocks(g Generator, n int) [][]slot {
+func staticBlocks(g engine.Generator, n int) [][]slot {
 	byPC := map[uint64][]slot{}
 	var in isa.Instruction
 	for i := 0; i < n; i++ {
