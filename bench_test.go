@@ -83,6 +83,18 @@ func BenchmarkTable4(b *testing.B) {
 	}
 }
 
+// benchStatic runs the static 4- and 16-cluster organizations of cfg: the
+// fixed configurations, with no controller.
+func benchStatic(b *testing.B, bench string, cfg clustersim.Config) {
+	for _, n := range []int{4, 16} {
+		c := cfg
+		c.ActiveClusters = n
+		b.Run(bench+"/static-"+itoa(n), func(b *testing.B) {
+			simulate(b, bench, c, func() clustersim.Controller { return nil }, window(bench))
+		})
+	}
+}
+
 // BenchmarkFig5 regenerates Figure 5: the interval-based schemes on the
 // centralized cache.
 func BenchmarkFig5(b *testing.B) {
@@ -90,8 +102,6 @@ func BenchmarkFig5(b *testing.B) {
 		name string
 		mk   func() clustersim.Controller
 	}{
-		{"static-4", func() clustersim.Controller { return clustersim.NewStatic(4) }},
-		{"static-16", func() clustersim.Controller { return clustersim.NewStatic(16) }},
 		{"explore", func() clustersim.Controller { return clustersim.NewExplore(clustersim.ExploreConfig{}) }},
 		{"dilp-500", func() clustersim.Controller {
 			return clustersim.NewDistantILP(clustersim.DistantILPConfig{Interval: 500})
@@ -104,6 +114,7 @@ func BenchmarkFig5(b *testing.B) {
 		}},
 	}
 	for _, bench := range clustersim.Benchmarks() {
+		benchStatic(b, bench, clustersim.DefaultConfig())
 		for _, s := range schemes {
 			s := s
 			b.Run(bench+"/"+s.name, func(b *testing.B) {
@@ -141,19 +152,18 @@ func BenchmarkFig7(b *testing.B) {
 		name string
 		mk   func() clustersim.Controller
 	}{
-		{"static-4", func() clustersim.Controller { return clustersim.NewStatic(4) }},
-		{"static-16", func() clustersim.Controller { return clustersim.NewStatic(16) }},
 		{"explore", func() clustersim.Controller { return clustersim.NewExplore(clustersim.ExploreConfig{}) }},
 		{"dilp-10K", func() clustersim.Controller {
 			return clustersim.NewDistantILP(clustersim.DistantILPConfig{Interval: 10_000})
 		}},
 	}
+	cfg := clustersim.DefaultConfig()
+	cfg.Cache = clustersim.DecentralizedCache
 	for _, bench := range clustersim.Benchmarks() {
+		benchStatic(b, bench, cfg)
 		for _, s := range schemes {
 			s := s
 			b.Run(bench+"/"+s.name, func(b *testing.B) {
-				cfg := clustersim.DefaultConfig()
-				cfg.Cache = clustersim.DecentralizedCache
 				simulate(b, bench, cfg, s.mk, window(bench))
 			})
 		}
@@ -166,16 +176,15 @@ func BenchmarkFig8(b *testing.B) {
 		name string
 		mk   func() clustersim.Controller
 	}{
-		{"static-4", func() clustersim.Controller { return clustersim.NewStatic(4) }},
-		{"static-16", func() clustersim.Controller { return clustersim.NewStatic(16) }},
 		{"explore", func() clustersim.Controller { return clustersim.NewExplore(clustersim.ExploreConfig{}) }},
 	}
+	cfg := clustersim.DefaultConfig()
+	cfg.Topology = clustersim.GridTopology
 	for _, bench := range clustersim.Benchmarks() {
+		benchStatic(b, bench, cfg)
 		for _, s := range schemes {
 			s := s
 			b.Run(bench+"/"+s.name, func(b *testing.B) {
-				cfg := clustersim.DefaultConfig()
-				cfg.Topology = clustersim.GridTopology
 				simulate(b, bench, cfg, s.mk, window(bench))
 			})
 		}

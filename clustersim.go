@@ -119,8 +119,6 @@ type (
 	DistantILPConfig = core.DistantILPConfig
 	// FineGrainConfig parameterizes the §4.4 fine-grained controller.
 	FineGrainConfig = core.FineGrainConfig
-	// Static pins the active-cluster count.
-	Static = core.Static
 
 	// Interval is one entry of a phase-analysis metric trace.
 	Interval = stats.Interval
@@ -235,9 +233,6 @@ func NewFailFastInvariantChecker() *InvariantChecker { return check.NewFailFast(
 func NewProcessor(cfg Config, gen Generator, ctrl Controller) (*Processor, error) {
 	return pipeline.New(cfg, gen, ctrl)
 }
-
-// NewStatic returns a controller pinning n active clusters.
-func NewStatic(n int) *Static { return &Static{N: n} }
 
 // NewExplore returns the paper's Figure 4 interval-based controller with
 // exploration and a variable interval length. A zero config selects the

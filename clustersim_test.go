@@ -7,9 +7,16 @@ import (
 	"clustersim"
 )
 
+// staticConfig is the default machine as a fixed n-cluster organization,
+// which runs without a controller.
+func staticConfig(n int) clustersim.Config {
+	cfg := clustersim.DefaultConfig()
+	cfg.ActiveClusters = n
+	return cfg
+}
+
 func TestPublicAPIQuickRun(t *testing.T) {
-	res, err := clustersim.Run("gzip", 1, clustersim.DefaultConfig(),
-		clustersim.NewStatic(4), 20_000)
+	res, err := clustersim.Run("gzip", 1, staticConfig(4), nil, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +57,6 @@ func TestBenchmarksAndPaperData(t *testing.T) {
 
 func TestAllControllersViaFacade(t *testing.T) {
 	ctrls := []clustersim.Controller{
-		clustersim.NewStatic(8),
 		clustersim.NewExplore(clustersim.ExploreConfig{}),
 		clustersim.NewDistantILP(clustersim.DistantILPConfig{}),
 		clustersim.NewFineGrain(clustersim.FineGrainConfig{}),
@@ -120,11 +126,11 @@ func TestGzipHeadlineResult(t *testing.T) {
 		t.Skip("slow")
 	}
 	const window = 1_700_000
-	s4, err := clustersim.Run("gzip", 1, clustersim.DefaultConfig(), clustersim.NewStatic(4), window)
+	s4, err := clustersim.Run("gzip", 1, staticConfig(4), nil, window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s16, err := clustersim.Run("gzip", 1, clustersim.DefaultConfig(), clustersim.NewStatic(16), window)
+	s16, err := clustersim.Run("gzip", 1, staticConfig(16), nil, window)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 // Usage:
 //
 //	clustersim -bench gzip -policy explore -n 1000000
-//	clustersim -bench swim -policy static -clusters 8 -cache dist -topo grid
+//	clustersim -bench swim -policy static-8 -cache dist -topo grid
+//	clustersim -bench gzip -policy specs/policy/dilp-1k.json  # policy spec file
 //	clustersim -bench gzip -trace out.jsonl -metrics m.json
 //	clustersim -bench gzip -trace gzip.trace -trace-format chrome
 //	clustersim -bench parser -n 100000000 -serve :8080 -pprof
@@ -23,18 +24,17 @@ import (
 	"strings"
 
 	"clustersim"
+	"clustersim/internal/policy"
 )
 
 func main() {
 	bench := flag.String("bench", "gzip", "benchmark name (-list to enumerate)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
-	policy := flag.String("policy", "explore", "static | explore | dilp | fg | fgcr")
-	clusters := flag.Int("clusters", 16, "active clusters for -policy static")
+	policyName := flag.String("policy", "explore", "explore | distant-ilp | fine-grain | fine-grain-cr | static-N, or a policy spec file (.json)")
 	n := flag.Uint64("n", 1_000_000, "instructions to simulate")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	cache := flag.String("cache", "central", "central | dist")
 	topo := flag.String("topo", "ring", "ring | grid")
-	interval := flag.Uint64("interval", 0, "interval length for dilp (0 = paper default)")
 	trace := flag.String("trace", "", "write a structured event trace to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace file format: jsonl | chrome")
 	metrics := flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
@@ -121,20 +121,17 @@ func main() {
 		fatal("unknown -topo %q", *topo)
 	}
 
-	var ctrl clustersim.Controller
-	switch *policy {
-	case "static":
-		ctrl = clustersim.NewStatic(*clusters)
-	case "explore":
-		ctrl = clustersim.NewExplore(clustersim.ExploreConfig{})
-	case "dilp":
-		ctrl = clustersim.NewDistantILP(clustersim.DistantILPConfig{Interval: *interval})
-	case "fg":
-		ctrl = clustersim.NewFineGrain(clustersim.FineGrainConfig{})
-	case "fgcr":
-		ctrl = clustersim.NewFineGrain(clustersim.FineGrainConfig{CallReturnOnly: true})
-	default:
-		fatal("unknown -policy %q", *policy)
+	loadPolicy := policy.Paper
+	if strings.HasSuffix(*policyName, ".json") {
+		loadPolicy = policy.LoadFile
+	}
+	spec, err := loadPolicy(*policyName)
+	if err != nil {
+		fatal("%v", err)
+	}
+	cfg, ctrl, _, err := spec.Instantiate(cfg)
+	if err != nil {
+		fatal("%v", err)
 	}
 
 	// Observability: any of -trace, -metrics or -serve attaches an
@@ -206,7 +203,6 @@ func main() {
 	}
 
 	var res clustersim.Result
-	var err error
 	if *specFile != "" || *replayTrace != "" {
 		var gen clustersim.Generator
 		if *replayTrace != "" {

@@ -7,10 +7,9 @@ import (
 )
 
 // ExampleRun simulates a benchmark on the default 16-cluster machine with a
-// fixed configuration.
+// fixed configuration: no controller, so all 16 clusters stay active.
 func ExampleRun() {
-	res, err := clustersim.Run("swim", 1, clustersim.DefaultConfig(),
-		clustersim.NewStatic(16), 50_000)
+	res, err := clustersim.Run("swim", 1, clustersim.DefaultConfig(), nil, 50_000)
 	if err != nil {
 		panic(err)
 	}

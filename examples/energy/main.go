@@ -27,7 +27,7 @@ func main() {
 		if bench == "gzip" || bench == "parser" {
 			window = 1_700_000
 		}
-		stat, err := clustersim.Run(bench, 1, clustersim.DefaultConfig(), clustersim.NewStatic(16), window)
+		stat, err := clustersim.Run(bench, 1, clustersim.DefaultConfig(), nil, window)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,12 +17,19 @@ func main() {
 
 	fmt.Printf("benchmark %s over %d instructions on the 16-cluster ring machine\n\n", bench, window)
 
-	for _, ctrl := range []clustersim.Controller{
-		clustersim.NewStatic(4),
-		clustersim.NewStatic(16),
-		clustersim.NewExplore(clustersim.ExploreConfig{}),
+	// A static organization is a configuration run without a controller;
+	// the adaptive one starts from all 16 clusters.
+	narrow := clustersim.DefaultConfig()
+	narrow.ActiveClusters = 4
+	for _, run := range []struct {
+		cfg  clustersim.Config
+		ctrl clustersim.Controller
+	}{
+		{narrow, nil},
+		{clustersim.DefaultConfig(), nil},
+		{clustersim.DefaultConfig(), clustersim.NewExplore(clustersim.ExploreConfig{})},
 	} {
-		res, err := clustersim.Run(bench, 1, clustersim.DefaultConfig(), ctrl, window)
+		res, err := clustersim.Run(bench, 1, run.cfg, run.ctrl, window)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"clustersim/internal/core"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/runner"
 	"clustersim/internal/stats"
@@ -21,12 +20,15 @@ import (
 // a no-op).
 
 // Determinism verifies seed determinism: executing the same (benchmark,
-// seed, window, config) twice yields byte-identical Results. Both runs
-// bypass the cache (a cache hit would compare a Result with itself).
-func Determinism(r *runner.Runner, bench string, seed, window uint64, cfg pipeline.Config) error {
+// seed, window, config) twice, concurrently, yields byte-identical Results.
+// The pair runs on its own runner with the cache disabled (a cache hit or
+// an in-batch dedup would compare a Result with itself).
+func Determinism(bench string, seed, window uint64, cfg pipeline.Config) error {
+	r := runner.New(2)
+	r.DisableCache = true
 	reqs := []runner.Request{
-		{ID: "determinism/a", Bench: bench, Seed: seed, Window: window, Config: cfg, NoCache: true},
-		{ID: "determinism/b", Bench: bench, Seed: seed, Window: window, Config: cfg, NoCache: true},
+		{ID: "determinism/a", Bench: bench, Seed: seed, Window: window, Config: cfg},
+		{ID: "determinism/b", Bench: bench, Seed: seed, Window: window, Config: cfg},
 	}
 	res, err := r.RunAll(reqs)
 	if err != nil {
@@ -34,28 +36,6 @@ func Determinism(r *runner.Runner, bench string, seed, window uint64, cfg pipeli
 	}
 	if res[0] != res[1] {
 		return fmt.Errorf("check: %s seed %d not deterministic:\n  run A: %+v\n  run B: %+v", bench, seed, res[0], res[1])
-	}
-	return nil
-}
-
-// StaticEquivalence verifies static-config dominance in its exact form: a
-// controller pinned to n clusters is a cycle-for-cycle no-op, so its Result
-// equals the static n-cluster configuration's Result in every field. In
-// particular the controller can never beat the static machine it mimics.
-func StaticEquivalence(r *runner.Runner, bench string, seed, window uint64, cfg pipeline.Config, n int) error {
-	cfg.ActiveClusters = n
-	reqs := []runner.Request{
-		{ID: "static-equiv/config", Bench: bench, Seed: seed, Window: window, Config: cfg, NoCache: true},
-		{ID: "static-equiv/controller", Bench: bench, Seed: seed, Window: window, Config: cfg,
-			Controller: &core.Static{N: n}, NoCache: true},
-	}
-	res, err := r.RunAll(reqs)
-	if err != nil {
-		return err
-	}
-	if res[0] != res[1] {
-		return fmt.Errorf("check: %s static-%d controller diverges from static config:\n  config:     %+v\n  controller: %+v",
-			bench, n, res[0], res[1])
 	}
 	return nil
 }
@@ -112,8 +92,8 @@ func IntervalInvariance(r *runner.Runner, bench string, seed, window uint64, cfg
 	fine := stats.NewRecorder(base)
 	coarse := stats.NewRecorder(base * uint64(k))
 	reqs := []runner.Request{
-		{ID: "interval-inv/fine", Bench: bench, Seed: seed, Window: window, Config: cfg, Controller: fine, NoCache: true},
-		{ID: "interval-inv/coarse", Bench: bench, Seed: seed, Window: window, Config: cfg, Controller: coarse, NoCache: true},
+		{ID: "interval-inv/fine", Bench: bench, Seed: seed, Window: window, Config: cfg, Controller: fine},
+		{ID: "interval-inv/coarse", Bench: bench, Seed: seed, Window: window, Config: cfg, Controller: coarse},
 	}
 	if _, err := r.RunAll(reqs); err != nil {
 		return err

@@ -23,29 +23,12 @@ func oracleBenches(t *testing.T) []string {
 // Result, at every cluster count.
 func TestDeterminismMatrix(t *testing.T) {
 	window := matrixWindow(t)
-	r := runner.New(0)
 	for _, bench := range oracleBenches(t) {
 		for _, n := range clusterMatrix {
 			cfg := pipeline.DefaultConfig()
 			cfg.Clusters = n
 			cfg.ActiveClusters = n
-			if err := Determinism(r, bench, 1, window, cfg); err != nil {
-				t.Errorf("%s/%d clusters: %v", bench, n, err)
-			}
-		}
-	}
-}
-
-// TestStaticEquivalenceMatrix: a controller pinned to n clusters is
-// field-identical to the static n-cluster configuration, at every matrix
-// point (so a forced-static controller can never beat its static config).
-func TestStaticEquivalenceMatrix(t *testing.T) {
-	window := matrixWindow(t)
-	r := runner.New(0)
-	for _, bench := range oracleBenches(t) {
-		for _, n := range clusterMatrix {
-			cfg := pipeline.DefaultConfig()
-			if err := StaticEquivalence(r, bench, 1, window, cfg, n); err != nil {
+			if err := Determinism(bench, 1, window, cfg); err != nil {
 				t.Errorf("%s/%d clusters: %v", bench, n, err)
 			}
 		}

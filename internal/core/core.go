@@ -22,35 +22,9 @@
 package core
 
 import (
-	"fmt"
-
 	"clustersim/internal/obs"
 	"clustersim/internal/pipeline"
 )
-
-// Static is a Controller that pins the active-cluster count.
-type Static struct {
-	// N is the number of active clusters.
-	N int
-}
-
-// Name implements pipeline.Controller.
-func (s *Static) Name() string { return fmt.Sprintf("static-%d", s.N) }
-
-// Reset implements pipeline.Controller.
-func (s *Static) Reset(totalClusters int) {
-	if s.N > totalClusters {
-		s.N = totalClusters
-	}
-	if s.N < 1 {
-		s.N = 1
-	}
-}
-
-// OnCommit implements pipeline.Controller.
-func (s *Static) OnCommit(ev pipeline.CommitEvent) int { return s.N }
-
-var _ pipeline.Controller = (*Static)(nil)
 
 // intervalMeter accumulates the per-interval statistics every interval-
 // based controller needs.

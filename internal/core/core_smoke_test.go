@@ -22,19 +22,16 @@ func TestControllerSmoke(t *testing.T) {
 		line := fmt.Sprintf("%-7s", name)
 		var best float64
 		var dyn []float64
-		for _, mk := range []func() pipeline.Controller{
-			func() pipeline.Controller { return &Static{N: 4} },
-			func() pipeline.Controller { return &Static{N: 16} },
-			func() pipeline.Controller { return NewExplore(ExploreConfig{}) },
-			func() pipeline.Controller { return NewDistantILP(DistantILPConfig{}) },
-			func() pipeline.Controller { return NewFineGrain(FineGrainConfig{}) },
-			func() pipeline.Controller { return NewFineGrain(FineGrainConfig{CallReturnOnly: true}) },
-		} {
-			ctrl := mk()
-			p := pipeline.MustNew(pipeline.DefaultConfig(), workload.MustNew(name, 1), ctrl)
+		for _, run := range smokeRuns(pipeline.DefaultConfig(),
+			NewExplore(ExploreConfig{}),
+			NewDistantILP(DistantILPConfig{}),
+			NewFineGrain(FineGrainConfig{}),
+			NewFineGrain(FineGrainConfig{CallReturnOnly: true}),
+		) {
+			p := pipeline.MustNew(run.cfg, workload.MustNew(name, 1), run.ctrl)
 			r := mustRun(t, p, w)
 			line += fmt.Sprintf(" %s:%.2f", r.Policy, r.IPC())
-			if _, ok := ctrl.(*Static); ok {
+			if run.ctrl == nil {
 				if r.IPC() > best {
 					best = r.IPC()
 				}
@@ -55,4 +52,22 @@ func mustRun(tb testing.TB, p *pipeline.Processor, n uint64) pipeline.Result {
 		tb.Fatalf("Run: %v", err)
 	}
 	return res
+}
+
+// smokeRun is one machine of a smoke comparison.
+type smokeRun struct {
+	cfg  pipeline.Config
+	ctrl pipeline.Controller
+}
+
+// smokeRuns returns the static 4- and 16-cluster organizations of cfg,
+// which run without a controller, followed by cfg under each of ctrls.
+func smokeRuns(cfg pipeline.Config, ctrls ...pipeline.Controller) []smokeRun {
+	narrow := cfg
+	narrow.ActiveClusters = 4
+	runs := []smokeRun{{cfg: narrow}, {cfg: cfg}}
+	for _, c := range ctrls {
+		runs = append(runs, smokeRun{cfg: cfg, ctrl: c})
+	}
+	return runs
 }

@@ -11,15 +11,10 @@ import (
 func TestDistCacheSmoke(t *testing.T) {
 	for _, name := range []string{"gzip", "swim", "vpr"} {
 		line := fmt.Sprintf("%-6s", name)
-		for _, mk := range []func() pipeline.Controller{
-			func() pipeline.Controller { return &Static{N: 4} },
-			func() pipeline.Controller { return &Static{N: 16} },
-			func() pipeline.Controller { return NewExplore(ExploreConfig{}) },
-			func() pipeline.Controller { return NewDistantILP(DistantILPConfig{}) },
-		} {
-			cfg := pipeline.DefaultConfig()
-			cfg.Cache = pipeline.DecentralizedCache
-			p := pipeline.MustNew(cfg, workload.MustNew(name, 1), mk())
+		cfg := pipeline.DefaultConfig()
+		cfg.Cache = pipeline.DecentralizedCache
+		for _, run := range smokeRuns(cfg, NewExplore(ExploreConfig{}), NewDistantILP(DistantILPConfig{})) {
+			p := pipeline.MustNew(run.cfg, workload.MustNew(name, 1), run.ctrl)
 			r := mustRun(t, p, 700_000)
 			line += fmt.Sprintf(" %s:%.2f(rc %d, fw %d)", r.Policy, r.IPC(), r.Reconfigs, r.Mem.FlushWritebacks)
 		}

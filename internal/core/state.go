@@ -28,20 +28,6 @@ func (m *intervalMeter) loadState(r *snap.Reader) {
 	m.distant = r.U64()
 }
 
-// SaveState implements snap.Stater.
-func (s *Static) SaveState(w *snap.Writer) {
-	w.Mark("ctrl-static")
-	w.Int(s.N)
-}
-
-// LoadState implements snap.Stater.
-func (s *Static) LoadState(r *snap.Reader) {
-	r.Mark("ctrl-static")
-	if n := r.Int(); r.Err() == nil && n != s.N {
-		r.Failf("core: static controller pins %d clusters, snapshot holds %d", s.N, n)
-	}
-}
-
 // SaveState implements snap.Stater. The popularity map is emitted as
 // key-sorted pairs so identical states produce identical bytes.
 func (e *Explore) SaveState(w *snap.Writer) {
@@ -238,7 +224,6 @@ func (f *FineGrain) LoadState(r *snap.Reader) {
 }
 
 var (
-	_ snap.Stater = (*Static)(nil)
 	_ snap.Stater = (*Explore)(nil)
 	_ snap.Stater = (*DistantILP)(nil)
 	_ snap.Stater = (*FineGrain)(nil)

@@ -25,7 +25,6 @@ func snapshot(t *testing.T, s snap.Stater) []byte {
 // a resumed run continues from exactly the saved decision state.
 func TestStateRoundTrip(t *testing.T) {
 	for _, mk := range []func() pipeline.Controller{
-		func() pipeline.Controller { return &Static{N: 4} },
 		func() pipeline.Controller { return NewExplore(ExploreConfig{InitialInterval: 1000}) },
 		func() pipeline.Controller { return NewDistantILP(DistantILPConfig{}) },
 		func() pipeline.Controller { return NewFineGrain(FineGrainConfig{}) },

@@ -278,8 +278,8 @@ func numOrDash(v float64, prec int) Cell {
 }
 
 // request builds one sweep cell: n instructions of benchmark bench on the
-// static machine cfg for the experiment named id (policyRequest adds a
-// controller). When Options.ObsDir is set, the run carries its own
+// machine cfg, with no controller, for the experiment named id
+// (policyRequest resolves a policy spec first). When Options.ObsDir is set, the run carries its own
 // observability registry plus cycle-sampled probes and writes
 // "<id>-<bench>-<policy>" time-series and metrics artifacts under that
 // directory after it executes (such runs are never cache-elided).

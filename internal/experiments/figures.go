@@ -126,15 +126,14 @@ func Table4(o Options) (*Table, error) {
 	mults := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	benches := o.benchmarks()
 	// The recorder controller is harvested after its run (its interval
-	// trace feeds the instability analysis), so these runs bypass the
-	// cache: each request must actually execute on its own recorder.
+	// trace feeds the instability analysis), so each request must actually
+	// execute on its own recorder: carrying no PolicyKey, it is uncacheable.
 	recs := make([]*stats.Recorder, len(benches))
 	reqs := make([]runner.Request, len(benches))
 	for i, b := range benches {
 		recs[i] = stats.NewRecorder(10_000)
-		req := o.request("table4", b, pipeline.DefaultConfig(), 2*o.Window(b))
-		req.Controller, req.NoCache = recs[i], true
-		reqs[i] = req
+		reqs[i] = o.request("table4", b, pipeline.DefaultConfig(), 2*o.Window(b))
+		reqs[i].Controller = recs[i]
 	}
 	rs, err := o.sweeper().RunAll(reqs)
 	if err != nil {

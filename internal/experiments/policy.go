@@ -26,18 +26,18 @@ func (o Options) policySpecs() ([]*policy.Spec, error) {
 	return specs, nil
 }
 
-// policyLabels renders one display label per spec: the built controller's
-// name, disambiguated with a fingerprint suffix when two parameterizations
-// of a family share it.
+// policyLabels renders one display label per spec: its run's
+// pipeline.PolicyName, disambiguated with a fingerprint suffix when two
+// parameterizations of a family share it.
 func policyLabels(specs []*policy.Spec) ([]string, error) {
 	labels := make([]string, len(specs))
 	counts := make(map[string]int, len(specs))
 	for i, s := range specs {
-		ctrl, err := s.Build()
+		cfg, ctrl, _, err := s.Instantiate(pipeline.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		labels[i] = ctrl.Name()
+		labels[i] = pipeline.PolicyName(ctrl, cfg.ActiveClusters)
 		counts[labels[i]]++
 	}
 	for i, s := range specs {
@@ -53,15 +53,11 @@ func policyLabels(specs []*policy.Spec) ([]string, error) {
 }
 
 // policyRequest builds one cacheable sweep cell: benchmark bench on machine
-// cfg under a fresh controller built from spec, keyed in the run cache by
-// the spec's fingerprint. Every cacheable controller cell goes through
-// here, so one controller has one cache identity across all experiments.
+// cfg under spec, as policy.Spec.Instantiate resolves it. Every spec cell
+// goes through here, so one policy has one cache identity across all
+// experiments, and a static spec is the very cell Fig 3 runs.
 func (o Options) policyRequest(id, bench string, cfg pipeline.Config, spec *policy.Spec) (runner.Request, error) {
-	ctrl, err := spec.Build()
-	if err != nil {
-		return runner.Request{}, err
-	}
-	key, err := spec.Key()
+	cfg, ctrl, key, err := spec.Instantiate(cfg)
 	if err != nil {
 		return runner.Request{}, err
 	}
@@ -228,9 +224,10 @@ func Counterfactual(o Options) (*Table, error) {
 	}
 
 	// Phase 1: record the base policy's trace per benchmark. Recording
-	// runs bypass the cache (the trace lives on the Recorder instance).
+	// runs are uncacheable (the trace lives on the Recorder instance, which
+	// carries no PolicyKey). A static base records through a Recorder with
+	// no inner controller.
 	benches := o.benchmarks()
-	cfgFP := pipeline.DefaultConfig().Fingerprint()
 	baseFP, err := base.Fingerprint()
 	if err != nil {
 		return nil, err
@@ -238,14 +235,14 @@ func Counterfactual(o Options) (*Table, error) {
 	traces := make([]*policy.DecisionTrace, len(benches))
 	recReqs := make([]runner.Request, len(benches))
 	for bi, b := range benches {
-		inner, berr := base.Build()
+		cfg, inner, _, berr := base.Instantiate(pipeline.DefaultConfig())
 		if berr != nil {
 			return nil, berr
 		}
 		traces[bi] = &policy.DecisionTrace{Bench: b, Seed: o.seed(), Window: o.Window(b),
-			PolicyFP: baseFP, ConfigFP: cfgFP}
-		req := o.request("cf-record", b, pipeline.DefaultConfig(), o.Window(b))
-		req.Controller, req.NoCache = policy.NewRecorder(inner, traces[bi]), true
+			Policy: baseLabel[0], PolicyFP: baseFP, ConfigFP: cfg.Fingerprint()}
+		req := o.request("cf-record", b, cfg, o.Window(b))
+		req.Controller = policy.NewRecorder(inner, traces[bi])
 		recReqs[bi] = req
 	}
 	baseRes, err := o.sweeper().RunAll(recReqs)
@@ -289,15 +286,23 @@ func Counterfactual(o Options) (*Table, error) {
 			continue
 		}
 		trace := traces[bi]
-		baseReplay := policy.ReplayResult{Decisions: trace.Decisions}
+		baseDecisions := trace.Decisions
+		if base.Name == policy.FamilyStatic {
+			// No controller recorded decisions: the machine held its
+			// width throughout, which is what its replay says.
+			rr, rerr := trace.Replay(base)
+			if rerr != nil {
+				return nil, rerr
+			}
+			baseDecisions = rr.Decisions
+		}
 		for ai, al := range altLabels {
 			row := Row{Name: b + " vs " + al}
 			r := altRes[bi*len(alts)+ai]
-			altCtrl, berr := alts[ai].Build()
-			if berr != nil {
-				return nil, berr
+			rr, rerr := trace.Replay(alts[ai])
+			if rerr != nil {
+				return nil, rerr
 			}
-			rr := trace.Replay(altCtrl)
 			baseIPC := baseRes[bi].IPC()
 			row.Cells = append(row.Cells, Num(baseIPC, 2))
 			if failed(r) {
@@ -308,7 +313,7 @@ func Counterfactual(o Options) (*Table, error) {
 					Num(100*(r.IPC()-baseIPC)/baseIPC, 1))
 			}
 			row.Cells = append(row.Cells,
-				Num(trace.Agreement(baseReplay.Decisions, rr.Decisions), 2),
+				Num(trace.Agreement(baseDecisions, rr.Decisions), 2),
 				Num(float64(len(rr.Decisions)), 0),
 				Num(rr.ChurnPerMInstr(baseRes[bi].Instructions), 1))
 			t.Rows = append(t.Rows, row)

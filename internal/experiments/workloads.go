@@ -108,12 +108,10 @@ func (o Options) bindWorkload(req *runner.Request) {
 		}
 		// The cache key needs the trace's content fingerprint before the
 		// run executes; the header peek is a single small read. A missing
-		// or unreadable file leaves the request uncacheable and fails at
-		// run time with the real error.
+		// or unreadable file leaves the source unkeyed, so the request is
+		// uncacheable and fails at run time with the real error.
 		if h, err := trace.PeekHeader(path); err == nil {
 			req.SourceKey = fmt.Sprintf("trace:%016x", h.Fingerprint)
-		} else {
-			req.NoCache = true
 		}
 		return
 	}
@@ -122,8 +120,6 @@ func (o Options) bindWorkload(req *runner.Request) {
 		req.Source = func() (workload.Generator, error) { return spec.Compile(s, seed) }
 		if fp, err := s.Fingerprint(); err == nil {
 			req.SourceKey = fmt.Sprintf("spec:%016x", fp)
-		} else {
-			req.NoCache = true
 		}
 	}
 }

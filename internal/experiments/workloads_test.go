@@ -119,9 +119,6 @@ func TestRecordTracesAndReplaySweep(t *testing.T) {
 		if !strings.HasPrefix(q.SourceKey, "trace:") {
 			t.Errorf("replayed cell %s SourceKey = %q, want trace:<fp>", q.Bench, q.SourceKey)
 		}
-		if q.NoCache {
-			t.Errorf("replayed cell %s lost cacheability", q.Bench)
-		}
 	}
 }
 
@@ -129,8 +126,8 @@ func TestReplayMissingTraceFails(t *testing.T) {
 	o := testOpts(t)
 	o.ReplayTraceDir = t.TempDir() // empty: no recordings
 	q := o.request("missing", "gzip", pipeline.DefaultConfig(), o.Window("gzip"))
-	if !q.NoCache {
-		t.Fatalf("unreadable trace must leave the request uncacheable")
+	if q.Source == nil || q.SourceKey != "" {
+		t.Fatalf("unreadable trace must leave the source unkeyed, hence uncacheable")
 	}
 	_, err := runner.New(1).RunAll([]runner.Request{q})
 	var se *runner.SweepError
@@ -153,8 +150,8 @@ func TestReplayVersion1TraceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := o.request("v1", "gzip", pipeline.DefaultConfig(), o.Window("gzip"))
-	if !q.NoCache {
-		t.Fatalf("a version-1 trace must leave the request uncacheable")
+	if q.Source == nil || q.SourceKey != "" {
+		t.Fatalf("a version-1 trace must leave the source unkeyed, hence uncacheable")
 	}
 	_, err = runner.New(1).RunAll([]runner.Request{q})
 	var se *runner.SweepError

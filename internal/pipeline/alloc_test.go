@@ -32,9 +32,9 @@ const flatAllocBudget = 8
 // TestSteadyStateAllocBudget pins the per-window allocation count of the
 // simulation hot loop for every benchmark under both steppers. The fetch
 // path fills fetch-queue slots in place and the mem/commit stages reuse
-// their scratch slices, so a steady-state 10K-instruction window allocates
-// a handful of times at most (the Result's policy name, an occasional
-// slice regrow). Before the in-place fetch fill this was ~10,000
+// their scratch slices, and the Result's policy label is fixed when the
+// processor is built, so a steady-state 10K-instruction window allocates
+// at most once or twice (an occasional slice regrow). Before the in-place fetch fill this was ~10,000
 // allocations per window, one escaping isa.Instruction per fetch.
 //
 // On the toolchain the golden names, each cell must stay within its pinned

@@ -179,7 +179,7 @@ type Config struct {
 	// package internal/check) that observes the machine state at the end
 	// of every cycle. Nil disables checking at zero hot-path cost.
 	// Checkers are stateful: every concurrent run needs its own instance.
-	Checker Checker //simlint:nokey checked requests are uncacheable; the runner folds the validation mode into its own key for dedup
+	Checker Checker //simlint:nokey checkers never influence timing, and checked requests are uncacheable
 
 	// Phases attaches a wall-clock phase timer that attributes the
 	// simulator's own execution time to cycle-loop stages by sampling one
@@ -268,6 +268,16 @@ func (c Config) Validate() error {
 	} {
 		if v.val <= 0 {
 			return fmt.Errorf("pipeline: %s must be positive, got %d", v.name, v.val)
+		}
+	}
+	if c.Cache == DecentralizedCache {
+		// Addresses interleave over the banks by masking (mem.dist,
+		// bpred.BankPredictor), which covers every bank only for powers
+		// of two.
+		for _, n := range []int{c.Clusters, c.ActiveClusters} {
+			if n&(n-1) != 0 {
+				return fmt.Errorf("pipeline: the decentralized cache needs power-of-two Clusters and ActiveClusters, have %d", n)
+			}
 		}
 	}
 	if c.Steering == SteerModN && c.ModN <= 0 {
@@ -383,7 +393,8 @@ type CommitEvent struct {
 }
 
 // Controller decides how many clusters stay active. Implementations live in
-// package core; Static behaviour is a Controller that never changes.
+// package core. A machine without one keeps Config.ActiveClusters: that is
+// a static organization.
 type Controller interface {
 	// Name identifies the policy in results.
 	Name() string
@@ -393,6 +404,16 @@ type Controller interface {
 	// OnCommit observes one committed instruction and returns the
 	// desired number of active clusters, or 0 for no change.
 	OnCommit(ev CommitEvent) int
+}
+
+// PolicyName labels a run in results, trace events and snapshots: the
+// controller's Name, or "static-N" for a machine with no controller and N
+// active clusters.
+func PolicyName(ctrl Controller, activeClusters int) string {
+	if ctrl != nil {
+		return ctrl.Name()
+	}
+	return fmt.Sprintf("static-%d", activeClusters)
 }
 
 // ObserverAware is optionally implemented by Controllers that report their

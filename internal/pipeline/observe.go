@@ -167,18 +167,10 @@ func (p *Processor) observeReconfig(oldActive, newActive int, writebacks, drainC
 	p.obs.Emit(&obs.Event{ //simlint:alloc observer-gated: reconfig emission on an instrumented run, never on the bare hot path
 		Cycle:       p.cycle,
 		Kind:        obs.KindReconfig,
-		Policy:      p.policyName(),
+		Policy:      p.policy,
 		OldActive:   oldActive,
 		NewActive:   newActive,
 		Writebacks:  writebacks,
 		DrainCycles: drainCycles,
 	})
-}
-
-// policyName returns the controller's name, or the static fallback.
-func (p *Processor) policyName() string {
-	if p.ctrl != nil {
-		return p.ctrl.Name()
-	}
-	return "static"
 }

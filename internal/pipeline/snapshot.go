@@ -74,7 +74,7 @@ func (p *Processor) SaveCheckpoint(wr io.Writer) error {
 	w.U64(snapVersion)
 	w.U64(p.cfg.Fingerprint())
 	w.String(p.gen.Name())
-	w.String(p.policyName())
+	w.String(p.policy)
 
 	w.Mark("proc")
 	w.U64(p.cycle)
@@ -210,8 +210,8 @@ func (p *Processor) LoadCheckpoint(rd io.Reader) error {
 	if bench := r.String(); r.Err() == nil && bench != p.gen.Name() {
 		return fmt.Errorf("pipeline: snapshot is for benchmark %q, processor runs %q", bench, p.gen.Name())
 	}
-	if policy := r.String(); r.Err() == nil && policy != p.policyName() {
-		return fmt.Errorf("pipeline: snapshot is for policy %q, processor runs %q", policy, p.policyName())
+	if policy := r.String(); r.Err() == nil && policy != p.policy {
+		return fmt.Errorf("pipeline: snapshot is for policy %q, processor runs %q", policy, p.policy)
 	}
 	if err := r.Err(); err != nil {
 		return err

@@ -14,10 +14,7 @@ func TestRecorderDisabledAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := controllerOf(t, spec)
 	rec := NewRecorder(inner, nil)
 	rec.Reset(16)
 	ev := pipeline.CommitEvent{Cycle: 1, Seq: 1, PC: 0x1000}
@@ -37,10 +34,7 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inner, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
+	inner := controllerOf(b, spec)
 	rec := NewRecorder(inner, nil)
 	rec.Reset(16)
 	ev := pipeline.CommitEvent{Cycle: 1, Seq: 1, PC: 0x1000}

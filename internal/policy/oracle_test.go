@@ -53,22 +53,16 @@ func TestSelfReplayOracle(t *testing.T) {
 
 			// Bare run (even requests), then the recorded twin (odd).
 			bare := base
-			ctrl, err := spec.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctrl := controllerOf(t, spec)
 			bare.Controller = ctrl
 			reqs = append(reqs, bare)
 
-			inner, err := spec.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			inner := controllerOf(t, spec)
 			trace := &DecisionTrace{Bench: bench, Seed: 1, Window: oracleWindow,
 				PolicyFP: fp, ConfigFP: cfg.Fingerprint()}
 			recorded := base
 			recorded.Controller = NewRecorder(inner, trace)
-			recorded.NoCache = true // trace is harvested from the instance
+			recorded.PolicyKey = "" // uncacheable: the trace is harvested from the instance
 			reqs = append(reqs, recorded)
 
 			cells = append(cells, cell{bench: bench, spec: spec, trace: trace})
@@ -107,11 +101,10 @@ func TestSelfReplayOracle(t *testing.T) {
 			t.Errorf("%s: ReadTrace: %v", label, err)
 			continue
 		}
-		fresh, err := c.spec.Build()
+		rr, err := back.Replay(c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr := back.Replay(fresh)
 		if !reflect.DeepEqual(rr.Decisions, c.trace.Decisions) {
 			t.Errorf("%s: self-replay diverged after round trip:\nrecorded %v\nreplayed %v",
 				label, c.trace.Decisions, rr.Decisions)

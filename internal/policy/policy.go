@@ -10,9 +10,10 @@
 // concrete controller types in internal/core into data: a Spec is a strict
 // JSON document (mirroring internal/spec's conventions: canonical
 // serialization, FNV-1a fingerprint) that names a controller family and its
-// parameters, builds fresh pipeline.Controller instances on demand, and
-// folds its fingerprint into the runner's content-addressed cache key via
-// runner.Request.PolicyKey.
+// parameters. Instantiate turns it into one run: the machine configuration,
+// a fresh pipeline.Controller, and the fingerprint the runner folds into its
+// content-addressed cache key via runner.Request.PolicyKey. The static
+// family is a configuration rather than a controller.
 package policy
 
 import (
@@ -102,7 +103,8 @@ type family struct {
 	// validate rejects parameters outside the family's vocabulary or
 	// range.
 	validate func(p Params) error
-	// build constructs a fresh controller instance from the parameters.
+	// build constructs a fresh controller instance from the parameters
+	// (nil for static, which has no controller).
 	build func(p Params) pipeline.Controller
 }
 
@@ -115,9 +117,6 @@ var families = map[string]family{
 				return fmt.Errorf("policy: static needs clusters >= 1, have %d", p.Clusters)
 			}
 			return rejectForeign(p, "static", func(q *Params) { q.Clusters = 0 })
-		},
-		build: func(p Params) pipeline.Controller {
-			return &core.Static{N: p.Clusters}
 		},
 	},
 	FamilyExplore: {
@@ -261,13 +260,36 @@ func (s *Spec) Validate() error {
 	return fam.validate(s.Params)
 }
 
-// Build constructs a fresh controller instance for this spec. Controllers
-// are stateful; every simulator run needs its own instance.
-func (s *Spec) Build() (pipeline.Controller, error) {
+// Instantiate turns the spec into one run on machine cfg: the configuration
+// to simulate, a fresh controller (controllers are stateful, so every run
+// needs its own), and the controller's cache key for
+// runner.Request.PolicyKey. A static spec is a configuration, not a
+// controller: cfg with ActiveClusters = Clusters, a nil controller and an
+// empty key, the very request a fixed organization issues without a spec.
+//
+// On the decentralized cache, whose banks interleave by masking, every
+// cluster count the spec names must be a power of two.
+func (s *Spec) Instantiate(cfg pipeline.Config) (pipeline.Config, pipeline.Controller, string, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return cfg, nil, "", err
 	}
-	return families[s.Name].build(s.Params), nil
+	if cfg.Cache == pipeline.DecentralizedCache {
+		p := s.Params
+		for _, n := range append([]int{p.Clusters, p.Narrow, p.Wide}, p.Configs...) {
+			if n&(n-1) != 0 {
+				return cfg, nil, "", fmt.Errorf("policy: %s: the decentralized cache needs power-of-two cluster counts, have %d", s.Name, n)
+			}
+		}
+	}
+	if s.Name == FamilyStatic {
+		cfg.ActiveClusters = s.Params.Clusters
+		return cfg, nil, "", nil
+	}
+	key, err := s.Key()
+	if err != nil {
+		return cfg, nil, "", err
+	}
+	return cfg, families[s.Name].build(s.Params), key, nil
 }
 
 // Serialize renders the spec in canonical form: two-space-indented JSON
@@ -331,5 +353,5 @@ func Paper(name string) (*Spec, error) {
 			Doc:    fmt.Sprintf("fixed %d-cluster machine", n),
 			Params: Params{Clusters: n}}, nil
 	}
-	return nil, fmt.Errorf("policy: unknown paper policy %q", name)
+	return nil, fmt.Errorf("policy: unknown paper policy %q (have explore, distant-ilp, fine-grain, fine-grain-cr, static-N)", name)
 }

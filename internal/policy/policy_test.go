@@ -1,9 +1,12 @@
 package policy
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"clustersim/internal/pipeline"
 )
 
 func TestFamiliesComplete(t *testing.T) {
@@ -14,17 +17,30 @@ func TestFamiliesComplete(t *testing.T) {
 }
 
 func TestPaperSpecsBuild(t *testing.T) {
-	for _, name := range []string{"explore", "distant-ilp", "fine-grain", "fine-grain-cr", "static-4", "static-16"} {
+	for _, name := range []string{"explore", "distant-ilp", "fine-grain", "fine-grain-cr"} {
 		s, err := Paper(name)
 		if err != nil {
 			t.Fatalf("Paper(%q): %v", name, err)
 		}
-		ctrl, err := s.Build()
+		cfg, ctrl, key, err := s.Instantiate(pipeline.DefaultConfig())
 		if err != nil {
-			t.Fatalf("Paper(%q).Build: %v", name, err)
+			t.Fatalf("Paper(%q).Instantiate: %v", name, err)
 		}
-		if ctrl.Name() == "" {
-			t.Fatalf("Paper(%q) controller has empty name", name)
+		if ctrl == nil || ctrl.Name() == "" || !strings.HasPrefix(key, "policy:") || cfg != pipeline.DefaultConfig() {
+			t.Fatalf("Paper(%q) instantiated to %+v, %v, key %q", name, cfg, ctrl, key)
+		}
+	}
+	// A static organization is a configuration: the request Fig 3 issues.
+	for _, n := range []int{4, 16} {
+		s, err := Paper(fmt.Sprintf("static-%d", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, ctrl, key, err := s.Instantiate(pipeline.DefaultConfig())
+		want := pipeline.DefaultConfig()
+		want.ActiveClusters = n
+		if err != nil || ctrl != nil || key != "" || cfg != want {
+			t.Fatalf("static-%d instantiated to %+v, %v, key %q, err %v", n, cfg, ctrl, key, err)
 		}
 	}
 	if _, err := Paper("nonsense"); err == nil {
@@ -121,6 +137,27 @@ func TestForeignParamsRejected(t *testing.T) {
 	}
 }
 
+// TestDecentralizedNeedsPowerOfTwoCounts: the decentralized cache masks
+// addresses onto banks, so Instantiate rejects any cluster count a spec
+// names that is not a power of two there, and only there.
+func TestDecentralizedNeedsPowerOfTwoCounts(t *testing.T) {
+	dist := pipeline.DefaultConfig()
+	dist.Cache = pipeline.DecentralizedCache
+	for _, s := range []*Spec{
+		{Version: Version, Name: FamilyStatic, Params: Params{Clusters: 3}},
+		{Version: Version, Name: FamilyExplore, Params: Params{Configs: []int{2, 6, 16}}},
+		{Version: Version, Name: FamilyDistantILP, Params: Params{Narrow: 3}},
+		{Version: Version, Name: FamilyFineGrain, Params: Params{Wide: 12}},
+	} {
+		if _, _, _, err := s.Instantiate(dist); err == nil || !strings.Contains(err.Error(), "power-of-two") {
+			t.Errorf("%s %+v on the decentralized cache: err %v", s.Name, s.Params, err)
+		}
+		if _, _, _, err := s.Instantiate(pipeline.DefaultConfig()); err != nil {
+			t.Errorf("%s %+v on the centralized cache: %v", s.Name, s.Params, err)
+		}
+	}
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
 	cases := []struct{ name, doc string }{
 		{"unknown field", `{"version":1,"name":"explore","bogus":3}`},
@@ -147,15 +184,9 @@ func TestBuildReturnsFreshInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := controllerOf(t, s)
+	b := controllerOf(t, s)
 	if a == b {
-		t.Fatal("Build returned the same controller instance twice")
+		t.Fatal("Instantiate returned the same controller instance twice")
 	}
 }

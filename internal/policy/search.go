@@ -221,9 +221,8 @@ func evaluate(o SearchOptions, gen int, pop []*Spec, seen map[uint64]*Entry, ord
 			PerBench: make([]Fitness, len(o.Benchmarks))}
 		seen[fp] = e
 		*order = append(*order, e)
-		key := fmt.Sprintf("policy:%016x", fp)
 		for bi, bench := range o.Benchmarks {
-			ctrl, err := s.Build()
+			cfg, ctrl, key, err := s.Instantiate(o.Config)
 			if err != nil {
 				return err
 			}
@@ -232,7 +231,7 @@ func evaluate(o SearchOptions, gen int, pop []*Spec, seen map[uint64]*Entry, ord
 				Bench:      bench,
 				Seed:       o.WorkloadSeed,
 				Window:     o.Window(bench),
-				Config:     o.Config,
+				Config:     cfg,
 				Controller: ctrl,
 				PolicyKey:  key,
 			})
@@ -393,8 +392,6 @@ func mutateInPlace(r *rng.Source, s *Spec) {
 		case 4:
 			p.FlushInterval = pickU64(r, menuFlushEveryMI) * 1_000_000
 		}
-	case FamilyStatic:
-		p.Clusters = []int{2, 4, 8, 16}[r.Intn(4)]
 	}
 }
 

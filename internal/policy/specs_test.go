@@ -37,10 +37,7 @@ func TestShippedSpecsLoad(t *testing.T) {
 		if s.Doc == "" {
 			t.Errorf("%s: shipped specs must carry a doc string", path)
 		}
-		ctrl, err := s.Build()
-		if err != nil {
-			t.Fatalf("%s: Build: %v", path, err)
-		}
+		ctrl := controllerOf(t, s)
 		if ctrl.Name() == "" {
 			t.Fatalf("%s: empty controller name", path)
 		}

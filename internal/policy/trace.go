@@ -224,18 +224,21 @@ var _ snap.Stater = (*DecisionTrace)(nil)
 // Recorder wraps a controller and captures its decision trace. With a nil
 // trace the wrapper is a pure pass-through — one nil test per commit, no
 // allocation — so the hook can stay plumbed in permanently and cost
-// nothing when recording is off.
+// nothing when recording is off. With a nil inner controller it records a
+// static machine: the commit stream alone, no decisions, under the label
+// the trace's Policy names.
 //
-// A recording run must not be served from the run cache (set
-// runner.Request.NoCache: the trace is harvested from the instance after
-// the run, which a cache hit would skip).
+// A recording run is never served from the run cache: its request carries
+// a controller without a PolicyKey, and the trace is harvested from the
+// instance after the run, which a cache hit would skip.
 type Recorder struct {
 	inner pipeline.Controller
 	trace *DecisionTrace
 }
 
-// NewRecorder wraps inner; events and decisions are appended to trace
-// (nil disables recording).
+// NewRecorder wraps inner (nil for a static machine, which then needs a
+// trace); events and decisions are appended to trace (nil disables
+// recording).
 func NewRecorder(inner pipeline.Controller, trace *DecisionTrace) *Recorder {
 	return &Recorder{inner: inner, trace: trace}
 }
@@ -244,21 +247,31 @@ func NewRecorder(inner pipeline.Controller, trace *DecisionTrace) *Recorder {
 func (r *Recorder) Trace() *DecisionTrace { return r.trace }
 
 // Name implements pipeline.Controller: the wrapper is invisible in results.
-func (r *Recorder) Name() string { return r.inner.Name() }
+func (r *Recorder) Name() string {
+	if r.inner == nil {
+		return r.trace.Policy
+	}
+	return r.inner.Name()
+}
 
 // Reset implements pipeline.Controller. A fresh run restarts the trace.
 func (r *Recorder) Reset(totalClusters int) {
-	r.inner.Reset(totalClusters)
+	if r.inner != nil {
+		r.inner.Reset(totalClusters)
+	}
 	if r.trace != nil {
 		r.trace.TotalClusters = totalClusters
-		r.trace.Policy = r.inner.Name()
+		r.trace.Policy = r.Name()
 		r.trace.clear()
 	}
 }
 
 // OnCommit implements pipeline.Controller.
 func (r *Recorder) OnCommit(ev pipeline.CommitEvent) int {
-	want := r.inner.OnCommit(ev)
+	want := 0
+	if r.inner != nil {
+		want = r.inner.OnCommit(ev)
+	}
 	if r.trace != nil {
 		r.trace.record(ev, want)
 	}
@@ -300,25 +313,35 @@ func (rr ReplayResult) ChurnPerMInstr(instrs uint64) float64 {
 	return 1e6 * float64(rr.Changes) / float64(instrs)
 }
 
-// Replay re-drives ctrl over the recorded commit stream and returns its
-// decision sequence. ctrl is Reset first; the same policy replayed over
-// its own trace reproduces the recorded Decisions exactly (the oracle
+// Replay re-drives policy s over the recorded commit stream, on a fresh
+// controller, and returns its decision sequence. A static spec has no
+// controller: its machine holds Clusters throughout, so it replays as that
+// single decision at the first recorded commit. The same policy replayed
+// over its own trace reproduces the recorded Decisions exactly (the oracle
 // TestSelfReplayOracle proves across the benchmark matrix).
-func (t *DecisionTrace) Replay(ctrl pipeline.Controller) ReplayResult {
-	ctrl.Reset(t.TotalClusters)
-	rr := ReplayResult{Policy: ctrl.Name()}
+func (t *DecisionTrace) Replay(s *Spec) (ReplayResult, error) {
+	if err := s.Validate(); err != nil {
+		return ReplayResult{}, err
+	}
+	rr := ReplayResult{Policy: pipeline.PolicyName(nil, s.Params.Clusters)}
+	want := func(pipeline.CommitEvent) int { return s.Params.Clusters }
+	if build := families[s.Name].build; build != nil {
+		ctrl := build(s.Params)
+		ctrl.Reset(t.TotalClusters)
+		rr.Policy, want = ctrl.Name(), ctrl.OnCommit
+	}
 	last := 0
 	for i := 0; i < t.Len(); i++ {
-		if want := ctrl.OnCommit(t.Event(i)); want > 0 && want != last {
-			rr.Decisions = append(rr.Decisions, Decision{Seq: t.seqs[i], Cycle: t.cycles[i], Active: want})
-			last = want
+		if w := want(t.Event(i)); w > 0 && w != last {
+			rr.Decisions = append(rr.Decisions, Decision{Seq: t.seqs[i], Cycle: t.cycles[i], Active: w})
+			last = w
 		}
 	}
 	rr.FinalActive = last
 	if n := len(rr.Decisions); n > 1 {
 		rr.Changes = n - 1
 	}
-	return rr
+	return rr, nil
 }
 
 // Agreement returns the fraction of recorded instructions over which the

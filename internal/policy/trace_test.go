@@ -41,10 +41,7 @@ func synthEvents(n int, seed uint64) []pipeline.CommitEvent {
 // Recorder and returns the captured trace.
 func recordSynthetic(t *testing.T, spec *Spec, evs []pipeline.CommitEvent) *DecisionTrace {
 	t.Helper()
-	ctrl, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := controllerOf(t, spec)
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +53,16 @@ func recordSynthetic(t *testing.T, spec *Spec, evs []pipeline.CommitEvent) *Deci
 		rec.OnCommit(ev)
 	}
 	return trace
+}
+
+// controllerOf returns a fresh controller for a dynamic spec.
+func controllerOf(tb testing.TB, s *Spec) pipeline.Controller {
+	tb.Helper()
+	_, ctrl, _, err := s.Instantiate(pipeline.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ctrl
 }
 
 func dynamicSpecs(t *testing.T) []*Spec {
@@ -100,11 +107,10 @@ func TestSelfReplayReproducesDecisions(t *testing.T) {
 	evs := synthEvents(30_000, 11)
 	for _, spec := range dynamicSpecs(t) {
 		trace := recordSynthetic(t, spec, evs)
-		fresh, err := spec.Build()
+		rr, err := trace.Replay(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr := trace.Replay(fresh)
 		if !reflect.DeepEqual(rr.Decisions, trace.Decisions) {
 			t.Fatalf("%s: self-replay diverged:\nrecorded %v\nreplayed %v",
 				spec.Name, trace.Decisions, rr.Decisions)
@@ -116,6 +122,37 @@ func TestSelfReplayReproducesDecisions(t *testing.T) {
 			t.Fatalf("%s: FinalActive %d, want %d", spec.Name, rr.FinalActive,
 				trace.Decisions[len(trace.Decisions)-1].Active)
 		}
+	}
+}
+
+// TestStaticRecordAndReplay: a Recorder with no inner controller records a
+// static machine's stream under the trace's label and requests nothing,
+// and a static spec replays as the single decision N at the first commit.
+func TestStaticRecordAndReplay(t *testing.T) {
+	evs := synthEvents(5_000, 9)
+	trace := &DecisionTrace{Policy: "static-4"}
+	rec := NewRecorder(nil, trace)
+	rec.Reset(16)
+	for _, ev := range evs {
+		if want := rec.OnCommit(ev); want != 0 {
+			t.Fatalf("static recorder requested %d clusters", want)
+		}
+	}
+	if rec.Name() != "static-4" || trace.Len() != len(evs) || len(trace.Decisions) != 0 {
+		t.Fatalf("static recording %s", trace.Describe())
+	}
+	s, err := Paper("static-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := trace.Replay(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ReplayResult{Policy: "static-4", FinalActive: 4,
+		Decisions: []Decision{{Seq: evs[0].Seq, Cycle: evs[0].Cycle, Active: 4}}}
+	if !reflect.DeepEqual(rr, want) {
+		t.Fatalf("static replay %+v, want %+v", rr, want)
 	}
 }
 
@@ -190,14 +227,8 @@ func TestRecorderNilTracePassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := controllerOf(t, spec)
+	ref := controllerOf(t, spec)
 	rec := NewRecorder(inner, nil)
 	rec.Reset(16)
 	ref.Reset(16)

@@ -14,8 +14,8 @@
 //   - a content-addressed cache keyed by the request fingerprint (benchmark,
 //     seed, window, policy, and a hash of the full configuration) executes
 //     each distinct configuration once, so the static baselines that repeat
-//     across Figures 5–8 and every sensitivity variant are simulated a
-//     single time and their Result reused.
+//     across Figures 3 and 5–8 and every sensitivity variant are simulated
+//     a single time and their Result reused.
 //
 // Observability stays per-run: a request carrying a Config.Observer owns its
 // registry and series exclusively (no cross-run sharing), is never cached
@@ -84,9 +84,6 @@ type Request struct {
 	// content, never a file path. Empty with a non-nil Source disables
 	// caching for the request.
 	SourceKey string
-	// NoCache forces execution even when an identical run is cached (e.g.
-	// when the controller instance is harvested after the run).
-	NoCache bool //simlint:nokey cache-bypass switch, not run identity; the result must stay shareable with cached runs
 	// PostRun, when non-nil, runs on the worker after an actual execution
 	// (cache hits and intra-batch duplicates skip it).
 	PostRun func(pipeline.Result) //simlint:nokey side-effect hook; requests carrying one are uncacheable
@@ -94,10 +91,7 @@ type Request struct {
 
 // policy returns the request's policy identity for keys and error reports.
 func (q *Request) policy() string {
-	name := fmt.Sprintf("static-%d", q.Config.ActiveClusters)
-	if q.Controller != nil {
-		name = q.Controller.Name()
-	}
+	name := pipeline.PolicyName(q.Controller, q.Config.ActiveClusters)
 	if q.PolicyKey != "" {
 		name += "|" + q.PolicyKey
 	}
@@ -115,7 +109,7 @@ func (q *Request) cacheable() bool {
 		// differently parameterized controllers, would collide.
 		return false
 	}
-	return !q.NoCache && q.Config.Observer == nil && q.Config.Checker == nil && q.PostRun == nil
+	return q.Config.Observer == nil && q.Config.Checker == nil && q.PostRun == nil
 }
 
 // hashField writes one length-prefixed field into the fingerprint hash.

@@ -193,6 +193,8 @@ type System struct {
 }
 
 // allotment is a pipeline.Controller pinning a thread to its partition.
+// Between repartitions it keeps requesting the machine's current count,
+// which the pipeline treats as a cycle-for-cycle no-op.
 type allotment struct{ n int }
 
 func (a *allotment) Name() string                         { return "smt-allotment" }

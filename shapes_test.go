@@ -16,8 +16,7 @@ func TestPaperShapes(t *testing.T) {
 	}
 
 	static := func(bench string, n int, window uint64) float64 {
-		res, err := clustersim.Run(bench, 1, clustersim.DefaultConfig(),
-			clustersim.NewStatic(n), window)
+		res, err := clustersim.Run(bench, 1, staticConfig(n), nil, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,26 +119,17 @@ func TestPaperShapes(t *testing.T) {
 		// §6: doubling the hop cost makes the 16-cluster machine more
 		// communication-bound, so narrow configurations gain relative
 		// ground for an integer program.
-		cfg := clustersim.DefaultConfig()
-		cfg.HopLatency = 2
-		run := func(n int) float64 {
-			ctrl := clustersim.NewStatic(n)
-			res, err := clustersim.Run("vpr", 1, cfg, ctrl, 300_000)
+		run := func(hop, n int) float64 {
+			cfg := staticConfig(n)
+			cfg.HopLatency = hop
+			res, err := clustersim.Run("vpr", 1, cfg, nil, 300_000)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res.IPC()
 		}
-		gap2 := run(4) / run(16)
-		cfg1 := clustersim.DefaultConfig()
-		run1 := func(n int) float64 {
-			res, err := clustersim.Run("vpr", 1, cfg1, clustersim.NewStatic(n), 300_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.IPC()
-		}
-		gap1 := run1(4) / run1(16)
+		gap2 := run(2, 4) / run(2, 16)
+		gap1 := run(1, 4) / run(1, 16)
 		if gap2 <= gap1 {
 			t.Errorf("2-cycle hops did not widen the narrow-machine advantage: %.3f vs %.3f", gap2, gap1)
 		}
