@@ -90,8 +90,8 @@ func New() *Invariants { return &Invariants{} }
 // the right choice inside sweeps and fuzz targets.
 func NewFailFast() *Invariants { return &Invariants{failFast: true} }
 
-// Name identifies the checker's validation mode; the runner folds it into
-// the run-cache key so checked and unchecked runs can never alias.
+// Name identifies the checker's validation mode. It never enters a
+// run-cache key: checked runs are uncacheable.
 func (k *Invariants) Name() string {
 	if k.failFast {
 		return "invariants-failfast"
