@@ -7,3 +7,7 @@ package pipeline
 func (p *Processor) CorruptScoreboardForTest(delta int) {
 	p.clusters[0].intRegs += delta
 }
+
+// UpdateGolden exposes the package's -update flag to the external test
+// package, whose goldens it rewrites too.
+var UpdateGolden = update
