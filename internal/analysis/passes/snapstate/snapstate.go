@@ -1,16 +1,19 @@
 // Package snapstate proves checkpoint completeness at compile time. The
 // CSIM-SNAP layer (PR 4) assumes that every codec covers every field of
 // its machine struct; a field added to a component but not to its
-// save/load functions corrupts resumed runs silently — the snapshot loads
+// codec's field list corrupts resumed runs silently — the snapshot loads
 // cleanly and the divergence only surfaces (maybe) as a flaky
 // ResumeEquivalence oracle hours later.
 //
 // The pass applies to every struct type that declares a snapshot codec,
-// recognized structurally as a method pair:
+// recognized structurally:
 //
-//	SaveState / LoadState     (the snap.Stater interface)
-//	saveState / loadState     (unexported sub-codecs)
+//	any method taking a *snap.Codec  (State, the snap.Stater interface,
+//	                                  and unexported field lists)
 //	SaveCheckpoint / LoadCheckpoint  (the processor's versioned header)
+//
+// A codec names each field once, for both directions, so one mention in
+// the list covers the save and the load alike.
 //
 // For each such struct, every field must either be mentioned — selected
 // through any value of the type — inside the codec bodies (methods of the
@@ -34,12 +37,16 @@ import (
 	"clustersim/internal/analysis"
 )
 
-// codecPairs lists the recognized save/load method-name pairs.
-var codecPairs = [][2]string{
-	{"SaveState", "LoadState"},
-	{"saveState", "loadState"},
-	{"SaveCheckpoint", "LoadCheckpoint"},
-}
+// codecPkg and codecType name the two-way codec whose pointer marks a
+// method as a snapshot codec.
+const (
+	codecPkg  = "clustersim/internal/snap"
+	codecType = "Codec"
+)
+
+// checkpointMethods are the processor's codec wrappers, recognized by name:
+// they take an io.Writer or io.Reader rather than a codec.
+var checkpointMethods = []string{"SaveCheckpoint", "LoadCheckpoint"}
 
 // Analyzer is the snapstate pass.
 var Analyzer = &analysis.Analyzer{
@@ -71,11 +78,14 @@ func run(pass *analysis.Pass) error {
 
 	for recv, ms := range methods {
 		var roots []*ast.FuncDecl
-		for _, pair := range codecPairs {
-			for _, name := range pair {
-				if fd, ok := ms[name]; ok {
-					roots = append(roots, fd)
-				}
+		for _, fd := range ms {
+			if takesCodec(pass, fd) {
+				roots = append(roots, fd)
+			}
+		}
+		for _, name := range checkpointMethods {
+			if fd, ok := ms[name]; ok {
+				roots = append(roots, fd)
 			}
 		}
 		if len(roots) == 0 {
@@ -145,6 +155,22 @@ func coverage(pass *analysis.Pass, recv *types.TypeName, ms map[string]*ast.Func
 		})
 	}
 	return covered
+}
+
+// takesCodec reports whether fd has a *snap.Codec parameter.
+func takesCodec(pass *analysis.Pass, fd *ast.FuncDecl) bool {
+	for _, field := range fd.Type.Params.List {
+		ptr, ok := pass.TypeOf(field.Type).(*types.Pointer)
+		if !ok {
+			continue
+		}
+		named, ok := ptr.Elem().(*types.Named)
+		if ok && named.Obj().Name() == codecType && named.Obj().Pkg() != nil &&
+			named.Obj().Pkg().Path() == codecPkg {
+			return true
+		}
+	}
+	return false
 }
 
 // receiverTypeName resolves a method declaration's receiver to its named

@@ -3,7 +3,13 @@
 // in same-receiver helpers it calls), or annotated //simlint:nostate.
 package snapfix
 
-// Machine declares the exported SaveState/LoadState codec pair.
+import (
+	"io"
+
+	"clustersim/internal/snap"
+)
+
+// Machine declares the exported single-method codec.
 type Machine struct {
 	PC    uint64
 	Regs  [16]uint64
@@ -11,37 +17,55 @@ type Machine struct {
 	cache map[uint64]uint64 //simlint:nostate rebuilt lazily on first access after resume
 }
 
-// SaveState covers PC directly and Regs through the helper.
-func (m *Machine) SaveState(sink func(uint64)) {
-	sink(m.PC)
-	m.saveRegs(sink)
-}
-
-// LoadState restores PC; Regs flow through the same helper shape.
-func (m *Machine) LoadState(src func() uint64) {
-	m.PC = src()
-	m.saveRegs(func(uint64) {})
-}
-
-// saveRegs is a same-receiver helper: its mentions count transitively.
-func (m *Machine) saveRegs(sink func(uint64)) {
-	for _, r := range m.Regs {
-		sink(r)
+// State covers PC directly and Regs through a helper, for both directions.
+func (m *Machine) State(c *snap.Codec) {
+	c.U64(&m.PC)
+	for _, r := range m.regs() {
+		c.U64(r)
 	}
 }
 
-// bank uses the unexported saveState/loadState pair.
+// regs is a same-receiver helper without a codec: its mentions count
+// because State calls it.
+func (m *Machine) regs() []*uint64 {
+	out := make([]*uint64, len(m.Regs))
+	for i := range m.Regs {
+		out[i] = &m.Regs[i]
+	}
+	return out
+}
+
+// bank's codec is an unexported field list taking extra arguments.
 type bank struct {
 	rows  []uint64
 	dirty bool // want `field bank\.dirty is not serialized by the bank snapshot codec`
 }
 
-func (b *bank) saveState() []uint64  { return b.rows }
-func (b *bank) loadState(r []uint64) { b.rows = r }
+func (b *bank) state(c *snap.Codec, what string) { c.FixedU64s(b.rows, what) }
 
-// plain has no codec, so nothing is required of it.
+// proc is recognized by its checkpoint wrappers, which take streams
+// rather than a codec.
+type proc struct {
+	cycle uint64
+	seq   uint64
+	stale uint64 // want `field proc\.stale is not serialized by the proc snapshot codec`
+}
+
+func (p *proc) SaveCheckpoint(w io.Writer) error {
+	_, err := w.Write([]byte{byte(p.cycle)})
+	return err
+}
+
+func (p *proc) LoadCheckpoint(r io.Reader) error {
+	p.seq = 0
+	return nil
+}
+
+// plain has no codec: a State method without a *snap.Codec is not one,
+// so nothing is required of it.
 type plain struct {
 	scratch uint64
 }
 
-func (p *plain) bump() { p.scratch++ }
+func (p *plain) bump()          { p.scratch++ }
+func (p *plain) State() float64 { return 0 }

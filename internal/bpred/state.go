@@ -6,100 +6,32 @@ import "clustersim/internal/snap"
 // constructors; snapshots carry only counters, histories, BTB contents, the
 // return-address stack, and statistics.
 
-// SaveState implements snap.Stater.
-func (p *Predictor) SaveState(w *snap.Writer) {
-	w.Mark("bpred")
-	w.U8s(p.bimodal)
-	w.U16s(p.hist)
-	w.U8s(p.level2)
-	w.U8s(p.meta)
-	w.U64s(p.btbTags)
-	w.U64s(p.btbTargets)
-	w.U8s(p.btbLRU)
-	w.U64s(p.ras)
-	w.Int(p.rasTop)
-	w.U64(p.stats.Lookups)
-	w.U64(p.stats.Mispredicts)
+// State implements snap.Stater.
+func (p *Predictor) State(c *snap.Codec) {
+	c.Mark("bpred")
+	c.FixedU8s(p.bimodal, "bimodal table")
+	c.FixedU16s(p.hist, "branch history table")
+	c.FixedU8s(p.level2, "level-2 table")
+	c.FixedU8s(p.meta, "meta table")
+	c.FixedU64s(p.btbTags, "btb tags")
+	c.FixedU64s(p.btbTargets, "btb targets")
+	c.FixedU8s(p.btbLRU, "btb lru")
+	c.FixedU64s(p.ras, "return-address stack")
+	c.Int(&p.rasTop)
+	c.Check(p.rasTop >= 0 && p.rasTop < len(p.ras),
+		"bpred: snapshot rasTop %d out of range [0,%d)", p.rasTop, len(p.ras))
+	c.U64(&p.stats.Lookups)
+	c.U64(&p.stats.Mispredicts)
 }
 
-// LoadState implements snap.Stater.
-func (p *Predictor) LoadState(r *snap.Reader) {
-	r.Mark("bpred")
-	loadU8s(r, p.bimodal, "bimodal table")
-	loadU16s(r, p.hist, "branch history table")
-	loadU8s(r, p.level2, "level-2 table")
-	loadU8s(r, p.meta, "meta table")
-	r.FixedU64s(p.btbTags, "btb tags")
-	r.FixedU64s(p.btbTargets, "btb targets")
-	loadU8s(r, p.btbLRU, "btb lru")
-	r.FixedU64s(p.ras, "return-address stack")
-	top := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if top < 0 || top >= len(p.ras) {
-		r.Failf("bpred: snapshot rasTop %d out of range [0,%d)", top, len(p.ras))
-		return
-	}
-	p.rasTop = top
-	p.stats.Lookups = r.U64()
-	p.stats.Mispredicts = r.U64()
-}
-
-// SaveState implements snap.Stater.
-func (p *BankPredictor) SaveState(w *snap.Writer) {
-	w.Mark("bankpred")
-	w.U32s(p.hist)
-	w.U8s(p.banks)
-	w.U8s(p.conf)
-	w.U64(p.stats.Lookups)
-	w.U64(p.stats.Mispredicts)
-}
-
-// LoadState implements snap.Stater.
-func (p *BankPredictor) LoadState(r *snap.Reader) {
-	r.Mark("bankpred")
-	loadU32s(r, p.hist, "bank history table")
-	loadU8s(r, p.banks, "bank prediction table")
-	loadU8s(r, p.conf, "bank confidence table")
-	p.stats.Lookups = r.U64()
-	p.stats.Mispredicts = r.U64()
-}
-
-func loadU8s(r *snap.Reader, dst []uint8, what string) {
-	s := r.U8s()
-	if r.Err() != nil {
-		return
-	}
-	if len(s) != len(dst) {
-		r.Failf("bpred: %s has %d entries, snapshot holds %d", what, len(dst), len(s))
-		return
-	}
-	copy(dst, s)
-}
-
-func loadU16s(r *snap.Reader, dst []uint16, what string) {
-	s := r.U16s()
-	if r.Err() != nil {
-		return
-	}
-	if len(s) != len(dst) {
-		r.Failf("bpred: %s has %d entries, snapshot holds %d", what, len(dst), len(s))
-		return
-	}
-	copy(dst, s)
-}
-
-func loadU32s(r *snap.Reader, dst []uint32, what string) {
-	s := r.U32s()
-	if r.Err() != nil {
-		return
-	}
-	if len(s) != len(dst) {
-		r.Failf("bpred: %s has %d entries, snapshot holds %d", what, len(dst), len(s))
-		return
-	}
-	copy(dst, s)
+// State implements snap.Stater.
+func (p *BankPredictor) State(c *snap.Codec) {
+	c.Mark("bankpred")
+	c.FixedU32s(p.hist, "bank history table")
+	c.FixedU8s(p.banks, "bank prediction table")
+	c.FixedU8s(p.conf, "bank confidence table")
+	c.U64(&p.stats.Lookups)
+	c.U64(&p.stats.Mispredicts)
 }
 
 var (

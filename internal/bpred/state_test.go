@@ -8,13 +8,13 @@ import (
 	"clustersim/internal/snap"
 )
 
-// snapshot returns s's SaveState bytes.
+// snapshot returns the bytes a saving codec writes for s.
 func snapshot(t *testing.T, s snap.Stater) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	s.SaveState(w)
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	s.State(sv)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -46,11 +46,11 @@ func TestStateRoundTrip(t *testing.T) {
 		{"bank predictor", bank, MustNewBank(DefaultBankConfig())},
 	} {
 		want := snapshot(t, c.warm)
-		rd := snap.NewReader(bytes.NewReader(want))
-		c.fresh.LoadState(rd)
-		rd.End()
-		if err := rd.Err(); err != nil {
-			t.Fatalf("%s: LoadState: %v", c.name, err)
+		ld := snap.NewLoader(bytes.NewReader(want))
+		c.fresh.State(ld)
+		ld.End()
+		if err := ld.Err(); err != nil {
+			t.Fatalf("%s: load: %v", c.name, err)
 		}
 		if got := snapshot(t, c.fresh); !bytes.Equal(got, want) {
 			t.Errorf("%s: restored predictor saves %d bytes that differ from the %d it loaded",

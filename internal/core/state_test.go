@@ -8,13 +8,13 @@ import (
 	"clustersim/internal/snap"
 )
 
-// snapshot returns s's SaveState bytes.
+// snapshot returns the bytes a saving codec writes for s.
 func snapshot(t *testing.T, s snap.Stater) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	s.SaveState(w)
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	s.State(sv)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -36,11 +36,11 @@ func TestStateRoundTrip(t *testing.T) {
 		feed(warm, 0, 40_000, uniformEvents(7, 3, 0.5, 0.2))
 		feed(warm, 40_000, 40_000, uniformEvents(20, 2, 1.5, 0.8))
 		want := snapshot(t, warm.(snap.Stater))
-		r := snap.NewReader(bytes.NewReader(want))
-		fresh.(snap.Stater).LoadState(r)
-		r.End()
-		if err := r.Err(); err != nil {
-			t.Fatalf("%s: LoadState: %v", warm.Name(), err)
+		ld := snap.NewLoader(bytes.NewReader(want))
+		fresh.(snap.Stater).State(ld)
+		ld.End()
+		if err := ld.Err(); err != nil {
+			t.Fatalf("%s: load: %v", warm.Name(), err)
 		}
 		if got := snapshot(t, fresh.(snap.Stater)); !bytes.Equal(got, want) {
 			t.Errorf("%s: restored controller saves %d bytes that differ from the %d it loaded",

@@ -5,65 +5,36 @@ import "clustersim/internal/snap"
 // Checkpoint support: a network's dynamic state is its link calendars (the
 // in-flight reservation horizon) and its cumulative statistics. Geometry
 // (node count, hop latency, free mode) is configuration and is rebuilt by
-// the constructor, so Load only verifies that calendar shapes match.
+// the constructor, so a load only verifies that calendar shapes match.
 
-func (s *Stats) saveState(w *snap.Writer) {
-	w.U64(s.Transfers)
-	w.U64(s.Hops)
-	w.U64(s.LatencySum)
+func (s *Stats) state(c *snap.Codec) {
+	c.U64(&s.Transfers)
+	c.U64(&s.Hops)
+	c.U64(&s.LatencySum)
 }
 
-func (s *Stats) loadState(r *snap.Reader) {
-	s.Transfers = r.U64()
-	s.Hops = r.U64()
-	s.LatencySum = r.U64()
-}
-
-func saveCalendars(w *snap.Writer, cals []Calendar) {
-	w.Int(len(cals))
-	for _, c := range cals {
-		w.U64s(c)
+// StateCalendars carries a configuration-sized list of calendars, each of
+// configuration-sized length.
+func StateCalendars(c *snap.Codec, cals []Calendar, what string) {
+	c.Len(len(cals), what+"s")
+	for _, cal := range cals {
+		c.FixedU64s(cal, what)
 	}
 }
 
-func loadCalendars(r *snap.Reader, cals []Calendar, what string) {
-	if n := r.Int(); r.Err() == nil && n != len(cals) {
-		r.Failf("interconnect: %s has %d calendars, snapshot holds %d", what, len(cals), n)
-		return
-	}
-	for i := range cals {
-		r.FixedU64s(cals[i], what)
-	}
+// State implements snap.Stater.
+func (r *Ring) State(c *snap.Codec) {
+	c.Mark("ring")
+	StateCalendars(c, r.cw, "ring cw link")
+	StateCalendars(c, r.ccw, "ring ccw link")
+	r.stats.state(c)
 }
 
-// SaveState implements snap.Stater.
-func (r *Ring) SaveState(w *snap.Writer) {
-	w.Mark("ring")
-	saveCalendars(w, r.cw)
-	saveCalendars(w, r.ccw)
-	r.stats.saveState(w)
-}
-
-// LoadState implements snap.Stater.
-func (r *Ring) LoadState(rd *snap.Reader) {
-	rd.Mark("ring")
-	loadCalendars(rd, r.cw, "ring cw link")
-	loadCalendars(rd, r.ccw, "ring ccw link")
-	r.stats.loadState(rd)
-}
-
-// SaveState implements snap.Stater.
-func (g *Grid) SaveState(w *snap.Writer) {
-	w.Mark("grid")
-	saveCalendars(w, g.links)
-	g.stats.saveState(w)
-}
-
-// LoadState implements snap.Stater.
-func (g *Grid) LoadState(r *snap.Reader) {
-	r.Mark("grid")
-	loadCalendars(r, g.links, "grid link")
-	g.stats.loadState(r)
+// State implements snap.Stater.
+func (g *Grid) State(c *snap.Codec) {
+	c.Mark("grid")
+	StateCalendars(c, g.links, "grid link")
+	g.stats.state(c)
 }
 
 var (

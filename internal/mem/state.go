@@ -1,8 +1,7 @@
 package mem
 
 import (
-	"sort"
-
+	"clustersim/internal/interconnect"
 	"clustersim/internal/snap"
 )
 
@@ -12,213 +11,78 @@ import (
 // MSHR map, and statistics. The l2's stats pointer aliases the parent
 // organization's Stats and is re-wired by the constructor, never serialized.
 
-func (a *array) saveState(w *snap.Writer) {
-	w.Bools(a.valid)
-	w.Bools(a.dirty)
-	w.U64s(a.tags)
-	w.U32s(a.age)
-	w.U64(uint64(a.clock))
+func (a *array) state(c *snap.Codec, what string) {
+	c.FixedBools(a.valid, what+" valid bits")
+	c.FixedBools(a.dirty, what+" dirty bits")
+	c.FixedU64s(a.tags, what+" tags")
+	c.FixedU32s(a.age, what+" ages")
+	snap.Narrow(c, &a.clock)
 }
 
-func (a *array) loadState(r *snap.Reader, what string) {
-	valid := r.Bools()
-	dirty := r.Bools()
-	tags := r.U64s()
-	age := r.U32s()
-	clock := uint32(r.U64())
-	if r.Err() != nil {
-		return
-	}
-	if len(valid) != len(a.valid) || len(dirty) != len(a.dirty) ||
-		len(tags) != len(a.tags) || len(age) != len(a.age) {
-		r.Failf("mem: %s has %d lines, snapshot holds %d", what, len(a.valid), len(valid))
-		return
-	}
-	copy(a.valid, valid)
-	copy(a.dirty, dirty)
-	copy(a.tags, tags)
-	copy(a.age, age)
-	a.clock = clock
-}
-
-// saveState writes the L2's dynamic state. The pendingMiss map is emitted as
+// state carries the L2's dynamic state. The pendingMiss map travels as
 // key-sorted pairs so identical machine states produce identical bytes.
-func (c *l2) saveState(w *snap.Writer) {
-	w.Mark("l2")
-	c.arr.saveState(w)
-	w.U64s(c.bus)
-	w.U64s(c.memBus)
-	keys := make([]uint64, 0, len(c.pendingMiss))
-	for k := range c.pendingMiss {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.U64(k)
-		w.U64(c.pendingMiss[k])
-	}
+func (c *l2) state(cd *snap.Codec) {
+	cd.Mark("l2")
+	c.arr.state(cd, "l2 array")
+	cd.FixedU64s(c.bus, "l2 bus calendar")
+	cd.FixedU64s(c.memBus, "l2 memory-bus calendar")
+	snap.Map(cd, &c.pendingMiss, 1<<20, "l2 pending misses")
 }
 
-func (c *l2) loadState(r *snap.Reader) {
-	r.Mark("l2")
-	c.arr.loadState(r, "l2 array")
-	r.FixedU64s(c.bus, "l2 bus calendar")
-	r.FixedU64s(c.memBus, "l2 memory-bus calendar")
-	n := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > 1<<20 {
-		r.Failf("mem: implausible pendingMiss count %d", n)
-		return
-	}
-	c.pendingMiss = make(map[uint64]uint64, n)
-	for i := 0; i < n; i++ {
-		k := r.U64()
-		v := r.U64()
-		if r.Err() != nil {
-			return
-		}
-		c.pendingMiss[k] = v
-	}
+func (s *Stats) state(c *snap.Codec) {
+	c.U64(&s.Loads)
+	c.U64(&s.Stores)
+	c.U64(&s.L1Hits)
+	c.U64(&s.L1Misses)
+	c.U64(&s.L1Writebacks)
+	c.U64(&s.L2Hits)
+	c.U64(&s.L2Misses)
+	c.U64(&s.L2MergedMisses)
+	c.U64(&s.L2Writebacks)
+	c.U64(&s.FlushWritebacks)
+	c.U64(&s.Flushes)
 }
 
-func saveStats(w *snap.Writer, s *Stats) {
-	w.U64(s.Loads)
-	w.U64(s.Stores)
-	w.U64(s.L1Hits)
-	w.U64(s.L1Misses)
-	w.U64(s.L1Writebacks)
-	w.U64(s.L2Hits)
-	w.U64(s.L2Misses)
-	w.U64(s.L2MergedMisses)
-	w.U64(s.L2Writebacks)
-	w.U64(s.FlushWritebacks)
-	w.U64(s.Flushes)
+// State implements snap.Stater.
+func (c *central) State(cd *snap.Codec) {
+	cd.Mark("mem-central")
+	c.arr.state(cd, "l1 array")
+	c.l2.state(cd)
+	interconnect.StateCalendars(cd, c.bankFree, "l1 bank calendar")
+	c.stats.state(cd)
 }
 
-func loadStats(r *snap.Reader, s *Stats) {
-	s.Loads = r.U64()
-	s.Stores = r.U64()
-	s.L1Hits = r.U64()
-	s.L1Misses = r.U64()
-	s.L1Writebacks = r.U64()
-	s.L2Hits = r.U64()
-	s.L2Misses = r.U64()
-	s.L2MergedMisses = r.U64()
-	s.L2Writebacks = r.U64()
-	s.FlushWritebacks = r.U64()
-	s.Flushes = r.U64()
-}
-
-// SaveState implements snap.Stater.
-func (c *central) SaveState(w *snap.Writer) {
-	w.Mark("mem-central")
-	c.arr.saveState(w)
-	c.l2.saveState(w)
-	w.Int(len(c.bankFree))
-	for _, cal := range c.bankFree {
-		w.U64s(cal)
-	}
-	saveStats(w, &c.stats)
-}
-
-// LoadState implements snap.Stater.
-func (c *central) LoadState(r *snap.Reader) {
-	r.Mark("mem-central")
-	c.arr.loadState(r, "l1 array")
-	c.l2.loadState(r)
-	if n := r.Int(); r.Err() == nil && n != len(c.bankFree) {
-		r.Failf("mem: centralized L1 has %d banks, snapshot holds %d", len(c.bankFree), n)
-		return
-	}
-	for i := range c.bankFree {
-		r.FixedU64s(c.bankFree[i], "l1 bank calendar")
-	}
-	loadStats(r, &c.stats)
-}
-
-// SaveState implements snap.Stater.
-func (d *dist) SaveState(w *snap.Writer) {
-	w.Mark("mem-dist")
-	w.Int(len(d.banks))
+// State implements snap.Stater.
+func (d *dist) State(c *snap.Codec) {
+	c.Mark("mem-dist")
+	c.Len(len(d.banks), "decentralized L1 banks")
 	for _, b := range d.banks {
-		b.saveState(w)
+		b.state(c, "l1 bank array")
 	}
-	d.l2.saveState(w)
-	w.Int(len(d.bankFree))
-	for _, cal := range d.bankFree {
-		w.U64s(cal)
-	}
-	w.Int(d.activeBanks)
-	saveStats(w, &d.stats)
+	d.l2.state(c)
+	interconnect.StateCalendars(c, d.bankFree, "l1 bank calendar")
+	c.Int(&d.activeBanks)
+	c.Check(d.activeBanks >= 1 && d.activeBanks <= d.cfg.Clusters,
+		"mem: snapshot activeBanks %d out of range [1,%d]", d.activeBanks, d.cfg.Clusters)
+	d.stats.state(c)
 }
 
-// LoadState implements snap.Stater.
-func (d *dist) LoadState(r *snap.Reader) {
-	r.Mark("mem-dist")
-	if n := r.Int(); r.Err() == nil && n != len(d.banks) {
-		r.Failf("mem: decentralized L1 has %d banks, snapshot holds %d", len(d.banks), n)
-		return
-	}
-	for _, b := range d.banks {
-		b.loadState(r, "l1 bank array")
-	}
-	d.l2.loadState(r)
-	if n := r.Int(); r.Err() == nil && n != len(d.bankFree) {
-		r.Failf("mem: decentralized L1 has %d bank calendars, snapshot holds %d", len(d.bankFree), n)
-		return
-	}
-	for i := range d.bankFree {
-		r.FixedU64s(d.bankFree[i], "l1 bank calendar")
-	}
-	active := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if active < 1 || active > d.cfg.Clusters {
-		r.Failf("mem: snapshot activeBanks %d out of range [1,%d]", active, d.cfg.Clusters)
-		return
-	}
-	d.activeBanks = active
-	loadStats(r, &d.stats)
+// State implements snap.Stater.
+func (c *ICache) State(cd *snap.Codec) {
+	cd.Mark("icache")
+	c.arr.state(cd, "icache array")
+	cd.U64(&c.hits)
+	cd.U64(&c.misses)
 }
 
-// SaveState implements snap.Stater.
-func (c *ICache) SaveState(w *snap.Writer) {
-	w.Mark("icache")
-	c.arr.saveState(w)
-	w.U64(c.hits)
-	w.U64(c.misses)
-}
-
-// LoadState implements snap.Stater.
-func (c *ICache) LoadState(r *snap.Reader) {
-	r.Mark("icache")
-	c.arr.loadState(r, "icache array")
-	c.hits = r.U64()
-	c.misses = r.U64()
-}
-
-// SaveState implements snap.Stater.
-func (t *TLB) SaveState(w *snap.Writer) {
-	w.Mark("tlb")
-	w.U64s(t.entries)
-	w.U64s(t.age)
-	w.U64(t.clock)
-	w.U64(t.hits)
-	w.U64(t.misses)
-}
-
-// LoadState implements snap.Stater.
-func (t *TLB) LoadState(r *snap.Reader) {
-	r.Mark("tlb")
-	r.FixedU64s(t.entries, "tlb entries")
-	r.FixedU64s(t.age, "tlb ages")
-	t.clock = r.U64()
-	t.hits = r.U64()
-	t.misses = r.U64()
+// State implements snap.Stater.
+func (t *TLB) State(c *snap.Codec) {
+	c.Mark("tlb")
+	c.FixedU64s(t.entries, "tlb entries")
+	c.FixedU64s(t.age, "tlb ages")
+	c.U64(&t.clock)
+	c.U64(&t.hits)
+	c.U64(&t.misses)
 }
 
 var (

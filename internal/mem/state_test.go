@@ -8,13 +8,13 @@ import (
 	"clustersim/internal/snap"
 )
 
-// snapshot returns s's SaveState bytes.
+// snapshot returns the bytes a saving codec writes for s.
 func snapshot(t *testing.T, s snap.Stater) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	s.SaveState(w)
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	s.State(sv)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -59,11 +59,11 @@ func TestStateRoundTrip(t *testing.T) {
 		{"tlb", tlb, NewTLB(DefaultTLBConfig())},
 	} {
 		want := snapshot(t, p.warm)
-		rd := snap.NewReader(bytes.NewReader(want))
-		p.fresh.LoadState(rd)
-		rd.End()
-		if err := rd.Err(); err != nil {
-			t.Fatalf("%s: LoadState: %v", p.name, err)
+		ld := snap.NewLoader(bytes.NewReader(want))
+		p.fresh.State(ld)
+		ld.End()
+		if err := ld.Err(); err != nil {
+			t.Fatalf("%s: load: %v", p.name, err)
 		}
 		if got := snapshot(t, p.fresh); !bytes.Equal(got, want) {
 			t.Errorf("%s: restored component saves %d bytes that differ from the %d it loaded",

@@ -136,85 +136,49 @@ func (t *DecisionTrace) record(ev pipeline.CommitEvent, want int) {
 	}
 }
 
-// SaveState implements snap.Stater: the trace serializes with the same
+// State implements snap.Stater: the trace serializes with the same
 // deterministic fixed-width codec as simulator checkpoints.
-func (t *DecisionTrace) SaveState(w *snap.Writer) {
-	w.Mark("decision-trace")
-	w.Int(traceVersion)
-	w.String(t.Bench)
-	w.U64(t.Seed)
-	w.U64(t.Window)
-	w.String(t.Policy)
-	w.U64(t.PolicyFP)
-	w.U64(t.ConfigFP)
-	w.Int(t.TotalClusters)
-	w.Mark("events")
-	w.U64s(t.cycles)
-	w.U64s(t.seqs)
-	w.U64s(t.pcs)
-	w.U8s(t.flags)
-	w.Mark("decisions")
-	w.U64(uint64(len(t.Decisions)))
-	for _, d := range t.Decisions {
-		w.U64(d.Seq)
-		w.U64(d.Cycle)
-		w.Int(d.Active)
-	}
-}
-
-// LoadState implements snap.Stater.
-func (t *DecisionTrace) LoadState(r *snap.Reader) {
-	r.Mark("decision-trace")
-	if v := r.Int(); r.Err() == nil && v != traceVersion {
-		r.Failf("policy: decision trace version %d (this build reads %d)", v, traceVersion)
-		return
-	}
-	t.Bench = r.String()
-	t.Seed = r.U64()
-	t.Window = r.U64()
-	t.Policy = r.String()
-	t.PolicyFP = r.U64()
-	t.ConfigFP = r.U64()
-	t.TotalClusters = r.Int()
-	r.Mark("events")
-	t.cycles = r.U64s()
-	t.seqs = r.U64s()
-	t.pcs = r.U64s()
-	t.flags = r.U8s()
-	r.Mark("decisions")
-	n := int(r.U64())
-	if r.Err() != nil {
-		return
-	}
-	if n < 0 || n > len(t.cycles)+1 {
-		r.Failf("policy: decision count %d exceeds event count %d", n, len(t.cycles))
-		return
-	}
-	t.Decisions = make([]Decision, n)
+func (t *DecisionTrace) State(c *snap.Codec) {
+	c.Mark("decision-trace")
+	c.Expect(traceVersion, "policy: decision trace version %d (this build reads %d)")
+	c.String(&t.Bench)
+	c.U64(&t.Seed)
+	c.U64(&t.Window)
+	c.String(&t.Policy)
+	c.U64(&t.PolicyFP)
+	c.U64(&t.ConfigFP)
+	c.Int(&t.TotalClusters)
+	c.Mark("events")
+	c.U64s(&t.cycles)
+	c.U64s(&t.seqs)
+	c.U64s(&t.pcs)
+	c.Bytes(&t.flags)
+	c.Check(len(t.cycles) == len(t.seqs) && len(t.cycles) == len(t.pcs) && len(t.cycles) == len(t.flags),
+		"policy: decision trace columns disagree: %d/%d/%d/%d events",
+		len(t.cycles), len(t.seqs), len(t.pcs), len(t.flags))
+	c.Mark("decisions")
+	snap.Resize(c, &t.Decisions, len(t.cycles)+1, "decision")
 	for i := range t.Decisions {
-		t.Decisions[i] = Decision{Seq: r.U64(), Cycle: r.U64(), Active: r.Int()}
-	}
-	t.lastWant = 0
-	if len(t.cycles) != len(t.seqs) || len(t.cycles) != len(t.pcs) || len(t.cycles) != len(t.flags) {
-		r.Failf("policy: decision trace columns disagree: %d/%d/%d/%d events",
-			len(t.cycles), len(t.seqs), len(t.pcs), len(t.flags))
+		d := &t.Decisions[i]
+		c.U64(&d.Seq)
+		c.U64(&d.Cycle)
+		c.Int(&d.Active)
 	}
 }
 
 // Write serializes the trace to w.
 func (t *DecisionTrace) Write(w io.Writer) error {
-	sw := snap.NewWriter(w)
-	t.SaveState(sw)
-	return sw.Flush()
+	c := snap.NewSaver(w)
+	t.State(c)
+	return c.Flush()
 }
 
 // ReadTrace deserializes a trace written by Write.
 func ReadTrace(r io.Reader) (*DecisionTrace, error) {
-	sr := snap.NewReader(r)
+	c := snap.NewLoader(r)
 	t := &DecisionTrace{}
-	t.LoadState(sr)
-	if err := sr.Err(); err != nil {
-		return nil, err
+	if t.State(c); c.Err() != nil {
+		return nil, c.Err()
 	}
 	return t, nil
 }

@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"clustersim/internal/pipeline"
+	"clustersim/internal/workload"
 )
 
 // namedController is a stub controller with an arbitrary Name, for key tests.
@@ -191,6 +194,64 @@ func TestCheckpointResumeThroughRunner(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "results", keyName(key)+".json")); err != nil {
 		t.Errorf("result not persisted: %v", err)
+	}
+}
+
+// TestCorruptSnapshotRestartsCell: a snapshot that fails a load-side check
+// — here its first ROB entry names cluster 99 of 16 — is deleted, and its
+// cell restarts from scratch and finishes with the uninterrupted Result.
+// Loaded unchecked, it would panic on the next Run, fail the cell for good
+// and stay in the directory to fail every resume the same way.
+func TestCorruptSnapshotRestartsCell(t *testing.T) {
+	dir := t.TempDir()
+	q := staticReq("gzip", 16)
+	q.Window = 60_000
+	ref, err := New(1).RunAll([]Request{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gen, err := workload.New(q.Bench, q.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipeline.New(q.Config, gen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(20_000); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	rob := append(binary.LittleEndian.AppendUint64(nil, 0x4b52414d), 3, 0, 0, 0, 0, 0, 0, 0, 'r', 'o', 'b')
+	at := bytes.Index(snap, rob)
+	if at < 0 {
+		t.Fatal("no rob section in the snapshot")
+	}
+	// The first entry's cluster word follows its instruction (51 bytes)
+	// and seq.
+	binary.LittleEndian.PutUint64(snap[at+len(rob)+59:], 99)
+	path := filepath.Join(dir, keyName(q.key())+".snap")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := New(1)
+	r.CheckpointDir = dir
+	r.CheckpointEvery = 20_000
+	rs, err := r.RunAll([]Request{q})
+	if err != nil {
+		t.Fatalf("the cell failed instead of restarting: %v", err)
+	}
+	if rs[0] != ref[0] {
+		t.Fatalf("restarted result diverges from uninterrupted run:\n  ref:       %+v\n  restarted: %+v", ref[0], rs[0])
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("the corrupt snapshot is still in the checkpoint directory")
 	}
 }
 

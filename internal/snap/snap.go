@@ -11,9 +11,13 @@
 // verify, so a desync is detected at the section boundary where it happened
 // rather than megabytes later as garbage state.
 //
-// Both Writer and Reader carry a sticky error: the first failure wins and
-// every subsequent call is a cheap no-op, so serialization code reads as
-// straight-line field lists with a single Err check at the end.
+// One Codec type runs both directions. A component names each of its
+// fields once, in one method taking a *Codec: a saving codec writes the
+// fields in that order, a loading codec reads them back into place and runs
+// the load-side checks. The save and load lists therefore cannot drift
+// apart. The codec carries a sticky error: the first failure wins and every
+// later call is a cheap no-op, so a field list reads as straight-line code
+// with a single Err check at the end.
 package snap
 
 import (
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // maxLen bounds every decoded slice and string length. It is far above any
@@ -35,235 +40,225 @@ const maxLen = 1 << 28
 const markTag = 0x4b52414d // "MARK"
 
 // Stater is implemented by components that can round-trip their dynamic
-// state through a snapshot. SaveState writes the state; LoadState restores
-// it into a freshly constructed (same-configuration) component. Errors
-// travel through the Writer's/Reader's sticky error.
+// state through a snapshot. State names every field once; a loading Codec
+// restores them into a freshly constructed (same-configuration) component.
+// Errors travel through the Codec's sticky error.
 type Stater interface {
-	SaveState(*Writer)
-	LoadState(*Reader)
+	State(*Codec)
 }
 
-// Writer serializes values to an underlying stream.
-type Writer struct {
-	w   *bufio.Writer
+// Codec is a two-way snapshot codec: it writes fields to a stream when
+// saving and reads them back into place when loading. Only the loading
+// direction changes the fields it is handed, and only it runs Check.
+type Codec struct {
+	w   *bufio.Writer // non-nil when saving
+	r   *bufio.Reader // non-nil when loading
 	err error
 	buf [8]byte
 }
 
-// NewWriter returns a Writer over w. Call Flush before using the bytes.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
+// NewSaver returns a saving Codec over w. Call Flush before using the bytes.
+func NewSaver(w io.Writer) *Codec { return &Codec{w: bufio.NewWriter(w)} }
+
+// NewLoader returns a loading Codec over r.
+func NewLoader(r io.Reader) *Codec { return &Codec{r: bufio.NewReader(r)} }
+
+// Loading reports whether the codec reads into the fields it is handed.
+// Field lists branch on it only where the format is asymmetric by design.
+func (c *Codec) Loading() bool { return c.r != nil }
 
 // Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
+func (c *Codec) Err() error { return c.err }
 
-// Fail records err as the Writer's sticky error (first failure wins).
-func (w *Writer) Fail(err error) {
-	if w.err == nil && err != nil {
-		w.err = err
+// Fail records err as the codec's sticky error (first failure wins).
+func (c *Codec) Fail(err error) {
+	if c.err == nil && err != nil {
+		c.err = err
 	}
 }
 
-// Flush drains buffered bytes and returns the sticky error.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+// Check fails a load whose restored state breaks a range or consistency
+// rule, with the message format and args describe. A saving codec skips
+// the test. Check reports whether the codec is still free of errors, so a
+// list can stop before state that depends on the checked value.
+func (c *Codec) Check(ok bool, format string, args ...any) bool {
+	if c.r != nil && !ok && c.err == nil {
+		c.err = fmt.Errorf(format, args...)
 	}
-	w.Fail(w.w.Flush())
-	return w.err
+	return c.err == nil
 }
 
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
+// Flush drains a saving codec's buffered bytes and returns the sticky
+// error.
+func (c *Codec) Flush() error {
+	if c.w != nil && c.err == nil {
+		c.Fail(c.w.Flush())
+	}
+	return c.err
+}
+
+// End fails a load unless the stream holds nothing past what has been
+// read. A saving codec ignores it.
+func (c *Codec) End() {
+	if c.r == nil || c.err != nil {
 		return
 	}
-	_, err := w.w.Write(b)
-	w.Fail(err)
-}
-
-// U64 writes a fixed-width 64-bit value.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes a signed 64-bit value.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int (widened to 64 bits).
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(b bool) {
-	v := byte(0)
-	if b {
-		v = 1
-	}
-	w.write([]byte{v})
-}
-
-// F64 writes a float64 by its IEEE-754 bits.
-func (w *Writer) F64(f float64) { w.U64(math.Float64bits(f)) }
-
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
-	w.U64(uint64(len(b)))
-	w.write(b)
-}
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U64(uint64(len(s)))
-	if w.err != nil {
-		return
-	}
-	_, err := w.w.WriteString(s)
-	w.Fail(err)
-}
-
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(s []uint64) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		w.U64(v)
+	if _, err := c.r.ReadByte(); err == nil {
+		c.Fail(fmt.Errorf("snap: trailing bytes after the last section"))
+	} else if err != io.EOF {
+		c.Fail(err)
 	}
 }
 
-// U32s writes a length-prefixed []uint32.
-func (w *Writer) U32s(s []uint32) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		w.U64(uint64(v))
+func (c *Codec) put(b []byte) {
+	if c.err == nil {
+		_, err := c.w.Write(b)
+		c.Fail(err)
 	}
 }
 
-// U16s writes a length-prefixed []uint16.
-func (w *Writer) U16s(s []uint16) {
-	w.U64(uint64(len(s)))
-	for _, v := range s {
-		binary.LittleEndian.PutUint16(w.buf[:2], v)
-		w.write(w.buf[:2])
-	}
-}
-
-// U8s writes a length-prefixed []uint8.
-func (w *Writer) U8s(s []uint8) { w.Bytes(s) }
-
-// Bools writes a length-prefixed []bool, one byte per element.
-func (w *Writer) Bools(s []bool) {
-	w.U64(uint64(len(s)))
-	for _, b := range s {
-		w.Bool(b)
-	}
-}
-
-// Mark writes a named section marker that the Reader verifies in order.
-func (w *Writer) Mark(name string) {
-	w.U64(markTag)
-	w.String(name)
-}
-
-// Reader deserializes values written by a Writer.
-type Reader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
-}
-
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Fail records err as the Reader's sticky error (first failure wins).
-func (r *Reader) Fail(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
-	}
-}
-
-// Failf records a formatted sticky error.
-func (r *Reader) Failf(format string, args ...any) {
-	r.Fail(fmt.Errorf(format, args...))
-}
-
-func (r *Reader) read(b []byte) bool {
-	if r.err != nil {
+func (c *Codec) get(b []byte) bool {
+	if c.err != nil {
 		return false
 	}
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("snap: truncated snapshot: %w", err)
-		}
-		r.Fail(err)
+	if _, err := io.ReadFull(c.r, b); err != nil {
+		c.Fail(truncated(err))
 		return false
 	}
 	return true
 }
 
-// U64 reads a 64-bit value.
-func (r *Reader) U64() uint64 {
-	if !r.read(r.buf[:8]) {
-		return 0
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("snap: truncated snapshot: %w", err)
 	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
+	return err
 }
 
-// I64 reads a signed 64-bit value.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// Bool reads a boolean.
-func (r *Reader) Bool() bool {
-	if !r.read(r.buf[:1]) {
-		return false
+// word carries one fixed-width word: a saving codec writes v, a loading
+// codec returns the word it read, with ok set when the read succeeded.
+func (c *Codec) word(v uint64) (uint64, bool) {
+	if c.r == nil {
+		binary.LittleEndian.PutUint64(c.buf[:], v)
+		c.put(c.buf[:8])
+		return v, false
 	}
-	switch r.buf[0] {
-	case 0:
-		return false
-	case 1:
-		return true
+	if !c.get(c.buf[:8]) {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(c.buf[:8]), true
+}
+
+// U64 carries a 64-bit value.
+func (c *Codec) U64(p *uint64) {
+	if v, ok := c.word(*p); ok {
+		*p = v
+	}
+}
+
+// I64 carries a signed 64-bit value.
+func (c *Codec) I64(p *int64) {
+	if v, ok := c.word(uint64(*p)); ok {
+		*p = int64(v)
+	}
+}
+
+// Int carries an int, widened to 64 bits.
+func (c *Codec) Int(p *int) {
+	if v, ok := c.word(uint64(*p)); ok {
+		*p = int(int64(v))
+	}
+}
+
+// F64 carries a float64 by its IEEE-754 bits.
+func (c *Codec) F64(p *float64) {
+	if v, ok := c.word(math.Float64bits(*p)); ok {
+		*p = math.Float64frombits(v)
+	}
+}
+
+// Narrow carries an integer narrower than 64 bits as one 64-bit word. A
+// load fails on a word that does not fit *p's type, rather than keeping its
+// low bits.
+func Narrow[T ~uint8 | ~uint16 | ~uint32 | ~int32](c *Codec, p *T) {
+	v, ok := c.word(uint64(*p))
+	if !ok {
+		return
+	}
+	if uint64(T(v)) != v {
+		c.Fail(fmt.Errorf("snap: word %#x overflows a %T field (corrupt snapshot?)", v, *p))
+		return
+	}
+	*p = T(v)
+}
+
+// Bool carries a boolean as one byte, 0 or 1.
+func (c *Codec) Bool(p *bool) {
+	if c.r == nil {
+		var b byte
+		if *p {
+			b = 1
+		}
+		if c.err == nil {
+			c.Fail(c.w.WriteByte(b))
+		}
+		return
+	}
+	if c.err != nil {
+		return
+	}
+	b, err := c.r.ReadByte()
+	switch {
+	case err != nil:
+		c.Fail(truncated(err))
+	case b > 1:
+		c.Fail(fmt.Errorf("snap: invalid bool byte %#x", b))
 	default:
-		r.Failf("snap: invalid bool byte %#x", r.buf[0])
-		return false
+		*p = b == 1
 	}
 }
 
-// F64 reads a float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// length reads and bounds-checks a slice length.
-func (r *Reader) length() int {
-	n := r.U64()
-	if n > maxLen {
-		r.Failf("snap: length %d exceeds limit %d (corrupt snapshot?)", n, maxLen)
-		return 0
+// bounded carries a count or length: a load fails on one above limit, so a
+// corrupt word cannot drive an allocation, and reports whether it read a
+// usable one.
+func (c *Codec) bounded(n, limit int, what string) (int, bool) {
+	v, ok := c.word(uint64(n))
+	if ok && v > uint64(limit) {
+		c.Fail(fmt.Errorf("snap: %s %d exceeds limit %d (corrupt snapshot?)", what, int64(v), limit))
+		return 0, false
 	}
-	return int(n)
+	return int(v), ok
 }
 
-// Bytes reads a length-prefixed byte slice. The buffer grows with the
-// bytes that actually arrive, doubling from 64 KiB up to exactly the
+// count carries a slice or string length, bounded by maxLen.
+func (c *Codec) count(n int) (int, bool) { return c.bounded(n, maxLen, "length") }
+
+// Bytes carries a length-prefixed byte slice. A load grows the buffer with
+// the bytes that actually arrive, doubling from 64 KiB up to exactly the
 // stated length, so a corrupt length fails at the truncation after
 // allocating at most twice what the stream held.
-func (r *Reader) Bytes() []byte {
-	n := r.length()
-	if r.err != nil || n == 0 {
-		return nil
+func (c *Codec) Bytes(p *[]byte) {
+	if c.r == nil {
+		c.count(len(*p))
+		c.put(*p)
+		return
+	}
+	n, ok := c.count(0)
+	if !ok {
+		return
+	}
+	if n == 0 {
+		*p = nil
+		return
 	}
 	b := make([]byte, min(n, 1<<16))
 	for off := 0; ; {
-		if !r.read(b[off:]) {
-			return nil
+		if !c.get(b[off:]) {
+			return
 		}
 		if len(b) == n {
-			return b
+			*p = b
+			return
 		}
 		off = len(b)
 		grown := make([]byte, min(n, 2*off))
@@ -272,114 +267,183 @@ func (r *Reader) Bytes() []byte {
 	}
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// U64s reads a length-prefixed []uint64.
-func (r *Reader) U64s() []uint64 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	s := make([]uint64, n)
-	for i := range s {
-		s[i] = r.U64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return s
-}
-
-// U32s reads a length-prefixed []uint32.
-func (r *Reader) U32s() []uint32 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	s := make([]uint32, n)
-	for i := range s {
-		s[i] = uint32(r.U64())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return s
-}
-
-// U16s reads a length-prefixed []uint16.
-func (r *Reader) U16s() []uint16 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	s := make([]uint16, n)
-	for i := range s {
-		if !r.read(r.buf[:2]) {
-			return nil
+// String carries a length-prefixed string.
+func (c *Codec) String(p *string) {
+	if c.r == nil {
+		c.count(len(*p))
+		if c.err == nil {
+			_, err := c.w.WriteString(*p)
+			c.Fail(err)
 		}
-		s[i] = binary.LittleEndian.Uint16(r.buf[:2])
+		return
 	}
-	return s
+	var b []byte
+	if c.Bytes(&b); c.err == nil {
+		*p = string(b)
+	}
 }
 
-// U8s reads a length-prefixed []uint8.
-func (r *Reader) U8s() []uint8 { return r.Bytes() }
-
-// Bools reads a length-prefixed []bool.
-func (r *Reader) Bools() []bool {
-	n := r.length()
-	if r.err != nil {
-		return nil
+// U64s carries a length-prefixed []uint64 whose length is machine state. A
+// load reuses *p's capacity and grows it only as words arrive.
+func (c *Codec) U64s(p *[]uint64) {
+	if c.r == nil {
+		c.count(len(*p))
+		for _, v := range *p {
+			c.word(v)
+		}
+		return
 	}
-	s := make([]bool, n)
+	n, ok := c.count(0)
+	if !ok {
+		return
+	}
+	s := (*p)[:0]
+	for i := 0; i < n; i++ {
+		v, ok := c.word(0)
+		if !ok {
+			return
+		}
+		s = append(s, v)
+	}
+	*p = s
+}
+
+// Expect carries a header word that must equal want: a saving codec writes
+// want, and a load fails on any other value with format applied to the
+// word read and want.
+func (c *Codec) Expect(want uint64, format string) {
+	if got, ok := c.word(want); ok && got != want {
+		c.Fail(fmt.Errorf(format, got, want))
+	}
+}
+
+// ExpectString is Expect for a header string.
+func (c *Codec) ExpectString(want, format string) {
+	got := want
+	if c.String(&got); c.r != nil && c.err == nil && got != want {
+		c.Fail(fmt.Errorf(format, got, want))
+	}
+}
+
+// Len carries a configuration-shaped count: a saving codec writes n, and a
+// load fails unless the snapshot holds the same n, which means the snapshot
+// belongs to a different configuration.
+func (c *Codec) Len(n int, what string) {
+	got := n
+	if c.Int(&got); got != n {
+		c.Check(false, "snap: %s has %d entries, snapshot holds %d", what, n, got)
+	}
+}
+
+// Present carries whether an optional component exists, failing a load
+// whose snapshot disagrees with the receiver. It reports whether the
+// component's fields follow.
+func (c *Codec) Present(has bool, what string) bool {
+	got := has
+	if c.Bool(&got); got != has {
+		c.Check(false, "snap: snapshot %s presence %t, receiver has %t", what, got, has)
+	}
+	return has && c.err == nil
+}
+
+// FixedU64s carries a configuration-sized table of words in place: the
+// length must match len(s) exactly.
+func (c *Codec) FixedU64s(s []uint64, what string) {
+	c.Len(len(s), what)
 	for i := range s {
-		s[i] = r.Bool()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return s
-}
-
-// Mark reads a section marker and verifies its name, failing with a message
-// naming both sections when the stream has desynced.
-func (r *Reader) Mark(name string) {
-	if tag := r.U64(); r.err == nil && tag != markTag {
-		r.Failf("snap: expected section %q, found no marker (stream desynced)", name)
-		return
-	}
-	if got := r.String(); r.err == nil && got != name {
-		r.Failf("snap: expected section %q, found %q", name, got)
+		c.U64(&s[i])
 	}
 }
 
-// End verifies that the stream holds nothing past what has been read.
-func (r *Reader) End() {
-	if r.err != nil {
-		return
-	}
-	if _, err := r.r.ReadByte(); err == nil {
-		r.Failf("snap: trailing bytes after the last section")
-	} else if err != io.EOF {
-		r.Fail(err)
+// FixedU32s is FixedU64s for a table of 32-bit values, one word each.
+func (c *Codec) FixedU32s(s []uint32, what string) {
+	c.Len(len(s), what)
+	for i := range s {
+		Narrow(c, &s[i])
 	}
 }
 
-// FixedU64s reads a []uint64 written by U64s into dst, failing unless the
-// stored length matches len(dst) exactly. Components use it to restore
-// configuration-sized tables (calendars, predictor arrays) where a length
-// change means the snapshot belongs to a different configuration.
-func (r *Reader) FixedU64s(dst []uint64, what string) {
-	n := r.length()
-	if r.err != nil {
+// FixedU16s is FixedU64s for a table of 16-bit values, two bytes each.
+func (c *Codec) FixedU16s(s []uint16, what string) {
+	c.Len(len(s), what)
+	for i := range s {
+		if c.r == nil {
+			binary.LittleEndian.PutUint16(c.buf[:2], s[i])
+			c.put(c.buf[:2])
+		} else if c.get(c.buf[:2]) {
+			s[i] = binary.LittleEndian.Uint16(c.buf[:2])
+		}
+	}
+}
+
+// FixedU8s is FixedU64s for a table of bytes, written as they are.
+func (c *Codec) FixedU8s(s []uint8, what string) {
+	if c.Len(len(s), what); c.r == nil {
+		c.put(s)
+	} else {
+		c.get(s)
+	}
+}
+
+// FixedBools is FixedU64s for a table of booleans, one byte each.
+func (c *Codec) FixedBools(s []bool, what string) {
+	c.Len(len(s), what)
+	for i := range s {
+		c.Bool(&s[i])
+	}
+}
+
+// Resize carries a slice's length. A load checks it against limit and
+// resizes *s to it, reusing its capacity, so the caller's loop over *s then
+// restores each element in place.
+func Resize[T any](c *Codec, s *[]T, limit int, what string) {
+	if n, ok := c.bounded(len(*s), limit, what+" count"); ok {
+		*s = slices.Grow((*s)[:0], n)[:n]
+	}
+}
+
+// Map carries a map as its entry count, bounded by limit on load, then its
+// key/value pairs in ascending key order, so identical maps write
+// identical bytes. Keys travel as 64-bit words. A load replaces *m.
+func Map[K ~int | ~uint64](c *Codec, m *map[K]uint64, limit int, what string) {
+	if c.r == nil {
+		c.word(uint64(len(*m)))
+		keys := make([]K, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			c.word(uint64(k))
+			c.word((*m)[k])
+		}
 		return
 	}
-	if n != len(dst) {
-		r.Failf("snap: %s has %d entries, snapshot holds %d", what, len(dst), n)
+	n, ok := c.bounded(0, limit, what+" count")
+	if !ok {
 		return
 	}
-	for i := range dst {
-		dst[i] = r.U64()
+	loaded := make(map[K]uint64, n)
+	for i := 0; i < n; i++ {
+		k, _ := c.word(0)
+		v, ok := c.word(0)
+		if !ok {
+			return
+		}
+		loaded[K(k)] = v
+	}
+	*m = loaded
+}
+
+// Mark carries a named section marker; a load verifies it, failing with a
+// message naming both sections when the stream has desynced.
+func (c *Codec) Mark(name string) {
+	if tag, ok := c.word(markTag); ok && tag != markTag {
+		c.Fail(fmt.Errorf("snap: expected section %q, found no marker (stream desynced)", name))
+		return
+	}
+	got := name
+	if c.String(&got); c.r != nil && c.err == nil && got != name {
+		c.Fail(fmt.Errorf("snap: expected section %q, found %q", name, got))
 	}
 }

@@ -205,16 +205,16 @@ func TestReplayerLoadStateEveryCursor(t *testing.T) {
 	src := p.Replayer()
 	for k := 0; k <= n; k++ {
 		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
-		src.SaveState(w)
-		if err := w.Flush(); err != nil {
+		sv := snap.NewSaver(&buf)
+		src.State(sv)
+		if err := sv.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		fresh := p.Replayer()
-		r := snap.NewReader(bytes.NewReader(buf.Bytes()))
-		fresh.LoadState(r)
-		if err := r.Err(); err != nil {
-			t.Fatalf("LoadState at %d: %v", k, err)
+		ld := snap.NewLoader(bytes.NewReader(buf.Bytes()))
+		fresh.State(ld)
+		if err := ld.Err(); err != nil {
+			t.Fatalf("load at %d: %v", k, err)
 		}
 		if fresh.Remaining() != n-k {
 			t.Fatalf("cursor %d: remaining %d, want %d", k, fresh.Remaining(), n-k)

@@ -36,9 +36,9 @@ func (e *ExhaustedError) Error() string {
 // checkpointed replay run resumes exactly like a live-generator run, with
 // the trace fingerprint verified against the snapshot.
 type Replayer struct {
-	p   *Packed //simlint:nostate construction state: the resuming process re-reads the trace file, and LoadState verifies its fingerprint
+	p   *Packed //simlint:nostate construction state: the resuming process re-reads the trace file, and State verifies its fingerprint
 	pos int
-	cur cursor //simlint:nostate derived from pos: LoadState re-decodes the stream up to the saved cursor
+	cur cursor //simlint:nostate derived from pos: a loading State re-decodes the stream up to the saved cursor
 }
 
 // Replayer returns a fresh cursor over the packed trace.
@@ -69,36 +69,20 @@ func (r *Replayer) Next(in *isa.Instruction) {
 // Reset rewinds the replay to the first recorded instruction.
 func (r *Replayer) Reset() { r.pos, r.cur = 0, cursor{} }
 
-// SaveState writes the replay cursor plus the trace's identity, so a
-// snapshot can never resume against a different recording.
-func (r *Replayer) SaveState(w *snap.Writer) {
-	w.Mark("trace-replay")
-	w.U64(r.p.Fingerprint())
-	w.Int(r.pos)
-}
-
-// LoadState restores the cursor after verifying the snapshot was taken
-// over the same trace content, decoding forward from the start to rebuild
-// the derived decoder state.
-func (r *Replayer) LoadState(rd *snap.Reader) {
-	rd.Mark("trace-replay")
-	fp := rd.U64()
-	pos := rd.Int()
-	if rd.Err() != nil {
-		return
-	}
-	if want := r.p.Fingerprint(); fp != want {
-		rd.Failf("trace: snapshot was taken over trace %016x, replaying %016x", fp, want)
-		return
-	}
-	if pos < 0 || pos > r.p.Len {
-		rd.Failf("trace: snapshot cursor %d outside [0,%d]", pos, r.p.Len)
-		return
-	}
-	r.Reset()
-	var in isa.Instruction
-	for r.pos < pos {
-		r.Next(&in)
+// State carries the replay cursor plus the trace's identity, so a snapshot
+// can never resume against a different recording. A load decodes forward
+// from the start to rebuild the derived decoder state.
+func (r *Replayer) State(c *snap.Codec) {
+	c.Mark("trace-replay")
+	c.Expect(r.p.Fingerprint(), "trace: snapshot was taken over trace %016x, replaying %016x")
+	pos := r.pos
+	c.Int(&pos)
+	if c.Check(pos >= 0 && pos <= r.p.Len, "trace: snapshot cursor %d outside [0,%d]", pos, r.p.Len) && c.Loading() {
+		r.Reset()
+		var in isa.Instruction
+		for r.pos < pos {
+			r.Next(&in)
+		}
 	}
 }
 

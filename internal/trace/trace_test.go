@@ -121,20 +121,22 @@ func TestReadRejectsWrongMagicAndVersion(t *testing.T) {
 	h := Header{Meta: tr.Meta, Count: uint64(len(tr.Instrs)), Fingerprint: tr.Fingerprint()}
 
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	w.String("NOT-A-TRACE")
-	w.U64(version)
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	m, v := "NOT-A-TRACE", uint64(version)
+	sv.String(&m)
+	sv.U64(&v)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	rejectBoth(t, buf.Bytes(), "magic", "bad magic")
 
 	buf.Reset()
-	w = snap.NewWriter(&buf)
-	w.String(magic)
-	w.U64(version + 1)
-	writeHeaderTail(w, h)
-	if err := w.Flush(); err != nil {
+	sv = snap.NewSaver(&buf)
+	m, v = magic, version+1
+	sv.String(&m)
+	sv.U64(&v)
+	headerTail(sv, h)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	rejectBoth(t, buf.Bytes(), "version", "future version")
@@ -159,16 +161,16 @@ func TestReadRejectsWrongMagicAndVersion(t *testing.T) {
 	}
 }
 
-// writeHeaderTail writes the header fields after magic+version, letting
-// tests craft headers with a bad prefix.
-func writeHeaderTail(w *snap.Writer, h Header) {
-	w.String(h.Meta.Name)
-	w.String(h.Meta.SourceKind)
-	w.String(h.Meta.SourceID)
-	w.U64(h.Meta.SourceFP)
-	w.U64(h.Meta.Seed)
-	w.U64(h.Count)
-	w.U64(h.Fingerprint)
+// headerTail writes the header fields after magic+version through a saving
+// codec, letting tests craft headers with a bad prefix.
+func headerTail(sv *snap.Codec, h Header) {
+	sv.String(&h.Meta.Name)
+	sv.String(&h.Meta.SourceKind)
+	sv.String(&h.Meta.SourceID)
+	sv.U64(&h.Meta.SourceFP)
+	sv.U64(&h.Meta.Seed)
+	sv.U64(&h.Count)
+	sv.U64(&h.Fingerprint)
 }
 
 // craft assembles a version-2 file around a hand-built payload: the header
@@ -178,12 +180,9 @@ func craft(t *testing.T, instrs []isa.Instruction, payload []byte) []byte {
 	t.Helper()
 	tr := &Trace{Meta: Meta{Name: "crafted", SourceKind: SourceCustom, Seed: 3}, Instrs: instrs}
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	writeHeader(w, Header{Meta: tr.Meta, Count: uint64(len(instrs)), Fingerprint: tr.Fingerprint()})
-	w.Mark("instr")
-	w.Bytes(payload)
-	w.Mark("end")
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	file(sv, &Header{Meta: tr.Meta, Count: uint64(len(instrs)), Fingerprint: tr.Fingerprint()}, &payload)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -244,9 +243,10 @@ func TestReadRejectsNonCanonical(t *testing.T) {
 
 func TestReadRejectsHugeCount(t *testing.T) {
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	writeHeader(w, Header{Meta: Meta{Name: "x"}, Count: maxCount + 1})
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	h := Header{Meta: Meta{Name: "x"}, Count: maxCount + 1}
+	h.state(sv)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	rejectBoth(t, buf.Bytes(), "count", "oversized count")
@@ -261,13 +261,15 @@ func TestReadRejectsPayloadLength(t *testing.T) {
 	// instructions that repeat PC 0).
 	forged := func(count, length uint64) []byte {
 		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
-		writeHeader(w, Header{Meta: Meta{Name: "x"}, Count: count})
-		w.Mark("instr")
-		w.U64(length)
-		w.U64(0)
-		w.Mark("end")
-		if err := w.Flush(); err != nil {
+		sv := snap.NewSaver(&buf)
+		h := Header{Meta: Meta{Name: "x"}, Count: count}
+		h.state(sv)
+		sv.Mark("instr")
+		zero := uint64(0)
+		sv.U64(&length)
+		sv.U64(&zero)
+		sv.Mark("end")
+		if err := sv.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -301,12 +303,9 @@ func TestReadRejectsInvalidClass(t *testing.T) {
 func TestReadRejectsFingerprintMismatch(t *testing.T) {
 	tr := record(t, 8)
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	writeHeader(w, Header{Meta: tr.Meta, Count: uint64(len(tr.Instrs)), Fingerprint: tr.Fingerprint() ^ 1})
-	w.Mark("instr")
-	w.Bytes(tr.Pack().data)
-	w.Mark("end")
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	file(sv, &Header{Meta: tr.Meta, Count: uint64(len(tr.Instrs)), Fingerprint: tr.Fingerprint() ^ 1}, &tr.Pack().data)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	rejectBoth(t, buf.Bytes(), "fingerprint", "fingerprint mismatch")
@@ -426,17 +425,17 @@ func TestReplayerSaveLoadState(t *testing.T) {
 		rp.Next(&in)
 	}
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	rp.SaveState(w)
-	if err := w.Flush(); err != nil {
+	sv := snap.NewSaver(&buf)
+	rp.State(sv)
+	if err := sv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := tr.Replayer()
-	r := snap.NewReader(bytes.NewReader(buf.Bytes()))
-	fresh.LoadState(r)
-	if err := r.Err(); err != nil {
-		t.Fatalf("LoadState: %v", err)
+	ld := snap.NewLoader(bytes.NewReader(buf.Bytes()))
+	fresh.State(ld)
+	if err := ld.Err(); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	if fresh.Remaining() != n-17 {
 		t.Fatalf("restored cursor remaining %d, want %d", fresh.Remaining(), n-17)
@@ -453,9 +452,9 @@ func TestReplayerSaveLoadState(t *testing.T) {
 	// A snapshot from a different trace must be rejected by fingerprint.
 	other := record(t, n+1)
 	wrong := other.Replayer()
-	r = snap.NewReader(bytes.NewReader(buf.Bytes()))
-	wrong.LoadState(r)
-	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "trace") {
+	ld = snap.NewLoader(bytes.NewReader(buf.Bytes()))
+	wrong.State(ld)
+	if err := ld.Err(); err == nil || !strings.Contains(err.Error(), "trace") {
 		t.Fatalf("cross-trace restore: got %v", err)
 	}
 }
