@@ -75,18 +75,6 @@ func MustNewBank(cfg BankConfig) *BankPredictor {
 	return p
 }
 
-// Reset clears predictor state and statistics.
-func (p *BankPredictor) Reset() {
-	for i := range p.hist {
-		p.hist[i] = 0
-	}
-	for i := range p.banks {
-		p.banks[i] = 0
-		p.conf[i] = 0
-	}
-	p.stats = Stats{}
-}
-
 func (p *BankPredictor) index(pc uint64) (hi, l2 int) {
 	hi = int((pc >> 2) & uint64(p.l1Size-1))
 	h := p.hist[hi]

@@ -166,12 +166,6 @@ func MustNew(cfg Config) *Predictor {
 	return p
 }
 
-// Reset clears all predictor state and statistics.
-func (p *Predictor) Reset() {
-	np := MustNew(p.cfg)
-	*p = *np
-}
-
 // pcIndex folds a PC into a table index (instructions are 4-byte aligned).
 func pcIndex(pc uint64, size int) int {
 	return int((pc >> 2) & uint64(size-1))

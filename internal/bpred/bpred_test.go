@@ -130,9 +130,9 @@ func TestStatsAndReset(t *testing.T) {
 	if s.MispredictRate() < 0 || s.MispredictRate() > 1 {
 		t.Fatalf("rate %f", s.MispredictRate())
 	}
-	p.Reset()
+	p = MustNew(DefaultConfig())
 	if p.Stats().Lookups != 0 {
-		t.Fatal("reset did not clear stats")
+		t.Fatal("a new predictor starts with lookups")
 	}
 	if (Stats{}).MispredictRate() != 0 {
 		t.Fatal("empty rate not 0")
@@ -260,17 +260,5 @@ func TestBankRandomUnpredictable(t *testing.T) {
 	}
 	if rate := float64(wrong) / n; rate < 0.5 {
 		t.Fatalf("random banks mispredict rate %f, want high", rate)
-	}
-}
-
-func TestBankReset(t *testing.T) {
-	p := MustNewBank(DefaultBankConfig())
-	p.Update(0x10, 7, 16)
-	p.Reset()
-	if p.Stats().Lookups != 0 {
-		t.Fatal("reset did not clear stats")
-	}
-	if p.Predict(0x10, 16) != 0 {
-		t.Fatal("reset did not clear tables")
 	}
 }

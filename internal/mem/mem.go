@@ -208,8 +208,6 @@ type System interface {
 	// cycles per bank over the window [from, to) — an observability
 	// probe for cache-port pressure; it does not disturb reservations.
 	BankBacklog(from, to uint64) float64
-	// Reset restores cold caches and zeroed statistics.
-	Reset()
 	// Stats returns cumulative statistics.
 	Stats() Stats
 }

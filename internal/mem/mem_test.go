@@ -312,23 +312,6 @@ func TestMissMerging(t *testing.T) {
 	}
 }
 
-func TestResetRestoresColdState(t *testing.T) {
-	for _, sys := range []System{
-		MustNew(DefaultCentralConfig(16), interconnect.MustNewRing(16, 1)),
-		MustNew(DefaultDistConfig(16), interconnect.MustNewRing(16, 1)),
-	} {
-		sys.Load(0, 0, 0x1234*8)
-		sys.Reset()
-		if sys.Stats() != (Stats{}) {
-			t.Fatal("reset did not clear stats")
-		}
-		_, hit := sys.Load(0, 0, 0x1234*8)
-		if hit {
-			t.Fatal("reset did not cool the cache")
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	net := interconnect.MustNewRing(16, 1)
 	bad := DefaultCentralConfig(16)
