@@ -305,15 +305,7 @@ func DefaultEnergyModel() EnergyModel { return energy.DefaultModel() }
 
 // EnergyActivityOf extracts the energy-relevant activity from a Result.
 // The powered-cluster count assumes disabled clusters are voltage-gated.
-func EnergyActivityOf(r Result) EnergyActivity {
-	return EnergyActivity{
-		Cycles:               r.Cycles,
-		Instructions:         r.Instructions,
-		PoweredClusterCycles: r.ActiveSum,
-		Hops:                 r.Net.Hops,
-		CacheAccesses:        r.Mem.Loads + r.Mem.Stores,
-	}
-}
+func EnergyActivityOf(r Result) EnergyActivity { return energy.ActivityOf(r) }
 
 // NewSMT builds a multi-threaded co-schedule over total dedicated clusters.
 func NewSMT(cfg Config, threads []Thread, total int, policy PartitionPolicy) (*SMTSystem, error) {

@@ -19,6 +19,8 @@
 // (the regime the paper targets).
 package energy
 
+import "clustersim/internal/pipeline"
+
 // Model holds the energy-model coefficients.
 type Model struct {
 	// LeakagePerClusterCycle is the static energy per powered cluster
@@ -50,9 +52,7 @@ func DefaultModel() Model {
 	}
 }
 
-// Activity is the subset of run statistics the estimator consumes (package
-// pipeline's Result satisfies it via Estimate's explicit arguments to avoid
-// an import cycle in either direction).
+// Activity is the subset of run statistics the estimator consumes.
 type Activity struct {
 	// Cycles and Instructions are the run totals.
 	Cycles       uint64
@@ -65,6 +65,18 @@ type Activity struct {
 	Hops uint64
 	// CacheAccesses is the total L1 accesses.
 	CacheAccesses uint64
+}
+
+// ActivityOf extracts a run's energy-relevant activity. The powered-cluster
+// count assumes disabled clusters are voltage-gated.
+func ActivityOf(r pipeline.Result) Activity {
+	return Activity{
+		Cycles:               r.Cycles,
+		Instructions:         r.Instructions,
+		PoweredClusterCycles: r.ActiveSum,
+		Hops:                 r.Net.Hops,
+		CacheAccesses:        r.Mem.Loads + r.Mem.Stores,
+	}
 }
 
 // Breakdown is an energy estimate in normalized units.

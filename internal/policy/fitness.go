@@ -38,13 +38,7 @@ type Fitness struct {
 
 // Evaluate scores one run result under the given energy model and weights.
 func Evaluate(r pipeline.Result, m energy.Model, w Weights) Fitness {
-	act := energy.Activity{
-		Cycles:               r.Cycles,
-		Instructions:         r.Instructions,
-		PoweredClusterCycles: r.ActiveSum,
-		Hops:                 r.Net.Hops,
-		CacheAccesses:        r.Mem.Loads + r.Mem.Stores,
-	}
+	act := energy.ActivityOf(r)
 	br := m.Estimate(act)
 	f := Fitness{
 		IPC:            r.IPC(),
