@@ -44,48 +44,49 @@ func (s Span) String() string {
 // is nil-safe and the runner's hooks reduce to one pointer test — so an
 // uninstrumented sweep pays nothing.
 //
-// All counters are atomic: one meter serves a whole worker pool, and its
-// registry may be served over HTTP (obs.Serve) while the sweep runs.
+// All state is atomic: one meter serves a whole worker pool, and its
+// registry may be served over HTTP (obs.Serve) while the sweep runs. Each
+// count the registry exports lives only in its obs counter; progress events
+// and SpanNanos read it back from there.
 type SweepMeter struct {
 	progress *ProgressWriter
 
 	workers atomic.Int64
 	batchNs atomic.Int64 // nanos() at the last BatchStart
 
-	total, completed, executed atomic.Int64
-	cacheHits, deduped, failed atomic.Int64
-	inflight, queued           atomic.Int64
-	busyNs                     atomic.Int64
-	spanNs                     [NumSpans]atomic.Int64
+	total, inflight, queued atomic.Int64
+	busyNs                  atomic.Int64
 
-	// Registry handles (all nil when no registry is attached; obs metric
-	// methods are nil-safe).
 	gInflight, gQueueDepth, gUtilization, gHitRate   *obs.Gauge
 	cRuns, cCompleted, cCacheHits, cDeduped, cFailed *obs.Counter
 	cSpans                                           [NumSpans]*obs.Counter
 	hRunMs, hQueueWaitMs                             *obs.Histogram
 }
 
-// NewSweepMeter returns a meter exporting live gauges into reg (nil: no
-// metrics export) and progress events into progress (nil: no stream).
+// NewSweepMeter returns a meter exporting live gauges into reg (nil: a
+// private registry nothing exports) and progress events into progress
+// (nil: no stream).
 func NewSweepMeter(reg *obs.Registry, progress *ProgressWriter) *SweepMeter {
-	m := &SweepMeter{progress: progress}
-	if reg != nil {
-		msBounds := []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
-		m.gInflight = reg.Gauge("sweep.inflight")
-		m.gQueueDepth = reg.Gauge("sweep.queue_depth")
-		m.gUtilization = reg.Gauge("sweep.worker_utilization")
-		m.gHitRate = reg.Gauge("sweep.cache_hit_rate")
-		m.cRuns = reg.Counter("sweep.runs")
-		m.cCompleted = reg.Counter("sweep.completed")
-		m.cCacheHits = reg.Counter("sweep.cache_hits")
-		m.cDeduped = reg.Counter("sweep.deduped")
-		m.cFailed = reg.Counter("sweep.failures")
-		for s := Span(0); s < NumSpans; s++ {
-			m.cSpans[s] = reg.Counter("sweep.span." + s.String() + "_ns")
-		}
-		m.hRunMs = reg.Histogram("sweep.run_ms", msBounds)
-		m.hQueueWaitMs = reg.Histogram("sweep.queue_wait_ms", msBounds)
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	msBounds := []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
+	m := &SweepMeter{
+		progress:     progress,
+		gInflight:    reg.Gauge("sweep.inflight"),
+		gQueueDepth:  reg.Gauge("sweep.queue_depth"),
+		gUtilization: reg.Gauge("sweep.worker_utilization"),
+		gHitRate:     reg.Gauge("sweep.cache_hit_rate"),
+		cRuns:        reg.Counter("sweep.runs"),
+		cCompleted:   reg.Counter("sweep.completed"),
+		cCacheHits:   reg.Counter("sweep.cache_hits"),
+		cDeduped:     reg.Counter("sweep.deduped"),
+		cFailed:      reg.Counter("sweep.failures"),
+		hRunMs:       reg.Histogram("sweep.run_ms", msBounds),
+		hQueueWaitMs: reg.Histogram("sweep.queue_wait_ms", msBounds),
+	}
+	for s := Span(0); s < NumSpans; s++ {
+		m.cSpans[s] = reg.Counter("sweep.span." + s.String() + "_ns")
 	}
 	return m
 }
@@ -129,8 +130,6 @@ func (m *SweepMeter) CacheHit() {
 	if m == nil {
 		return
 	}
-	m.cacheHits.Add(1)
-	m.completed.Add(1)
 	m.cCacheHits.Inc()
 	m.cCompleted.Inc()
 	m.updateGauges()
@@ -141,8 +140,6 @@ func (m *SweepMeter) DedupedRun() {
 	if m == nil {
 		return
 	}
-	m.deduped.Add(1)
-	m.completed.Add(1)
 	m.cDeduped.Inc()
 	m.cCompleted.Inc()
 	m.updateGauges()
@@ -180,12 +177,9 @@ func (m *SweepMeter) RunDone(id, bench, policy string, start int64, ok bool) {
 	m.addSpan(SpanExecute, d)
 	m.busyNs.Add(d)
 	m.inflight.Add(-1)
-	m.executed.Add(1)
-	m.completed.Add(1)
 	m.cRuns.Inc()
 	m.cCompleted.Inc()
 	if !ok {
-		m.failed.Add(1)
 		m.cFailed.Inc()
 	}
 	m.hRunMs.Observe(float64(d) / 1e6)
@@ -198,14 +192,14 @@ func (m *SweepMeter) RunDone(id, bench, policy string, start int64, ok bool) {
 		Policy:     policy,
 		OK:         &okv,
 		RunMs:      d / 1e6,
-		Completed:  m.completed.Load(),
+		Completed:  count(m.cCompleted),
 		Total:      m.total.Load(),
 		Inflight:   m.inflight.Load(),
 		QueueDepth: m.queued.Load(),
-		Runs:       m.executed.Load(),
-		CacheHits:  m.cacheHits.Load(),
-		Deduped:    m.deduped.Load(),
-		Failed:     m.failed.Load(),
+		Runs:       count(m.cRuns),
+		CacheHits:  count(m.cCacheHits),
+		Deduped:    count(m.cDeduped),
+		Failed:     count(m.cFailed),
 	})
 }
 
@@ -229,12 +223,12 @@ func (m *SweepMeter) BatchDone() {
 	m.updateGauges()
 	m.progress.Emit(&ProgressEvent{
 		Event:     "batch_done",
-		Completed: m.completed.Load(),
+		Completed: count(m.cCompleted),
 		Total:     m.total.Load(),
-		Runs:      m.executed.Load(),
-		CacheHits: m.cacheHits.Load(),
-		Deduped:   m.deduped.Load(),
-		Failed:    m.failed.Load(),
+		Runs:      count(m.cRuns),
+		CacheHits: count(m.cCacheHits),
+		Deduped:   count(m.cDeduped),
+		Failed:    count(m.cFailed),
 	})
 }
 
@@ -277,24 +271,25 @@ func (m *SweepMeter) SpanNanos(s Span) int64 {
 	if m == nil {
 		return 0
 	}
-	return m.spanNs[s].Load()
+	return count(m.cSpans[s])
 }
+
+// count reads an exported counter as a progress-event count.
+func count(c *obs.Counter) int64 { return int64(c.Value()) }
 
 func (m *SweepMeter) addSpan(s Span, d int64) {
 	if d < 0 {
 		d = 0
 	}
-	m.spanNs[s].Add(d)
 	m.cSpans[s].Add(uint64(d))
 }
 
-// updateGauges refreshes the live registry gauges. Histogram/counter
-// handles are nil-safe, so this is a no-op without a registry.
+// updateGauges refreshes the live registry gauges.
 func (m *SweepMeter) updateGauges() {
 	m.gInflight.Set(float64(m.inflight.Load()))
 	m.gQueueDepth.Set(float64(m.queued.Load()))
 	m.gUtilization.Set(m.Utilization())
-	if done := m.completed.Load(); done > 0 {
-		m.gHitRate.Set(float64(m.cacheHits.Load()) / float64(done))
+	if done := m.cCompleted.Value(); done > 0 {
+		m.gHitRate.Set(float64(m.cCacheHits.Value()) / float64(done))
 	}
 }
