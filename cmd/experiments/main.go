@@ -207,7 +207,7 @@ func main() {
 	opts := experiments.Options{
 		Seed: *seed, Scale: *scale,
 		ObsDir: *obsDir, ObsSamplePeriod: *obsSample,
-		Parallel: *parallel, Runner: rn, Check: *checkInv,
+		Runner: rn, Check: *checkInv,
 		Phases: ptimer,
 	}
 	if *benches != "" {
@@ -268,14 +268,14 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		tables, err := driver(opts)
+		table, err := driver(opts)
 		if err != nil {
 			var se *runner.SweepError
 			if errors.As(err, &se) {
 				allFailures = append(allFailures, se.Failures...)
 				failTotal += se.Total
 			}
-			if len(tables) == 0 || se == nil {
+			if table == nil || se == nil {
 				fmt.Fprintf(os.Stderr, "experiments: %s failed: %v\n", id, err)
 				failed = append(failed, id)
 				continue
@@ -283,18 +283,16 @@ func main() {
 			// Salvaged sweep: the successful cells still render; the
 			// failed ones show "-" and land in the failure manifest.
 			partial = append(partial, id)
-			fmt.Fprintf(os.Stderr, "experiments: %s: %d of %d runs failed (first: %v); printing partial tables\n",
+			fmt.Fprintf(os.Stderr, "experiments: %s: %d of %d runs failed (first: %v); printing the partial table\n",
 				id, len(se.Failures), se.Total, se.Failures[0])
 		}
-		for _, table := range tables {
-			switch *format {
-			case "chart":
-				fmt.Println(table.Chart())
-			case "csv":
-				fmt.Print(table.CSV())
-			default:
-				fmt.Println(table.Format())
-			}
+		switch *format {
+		case "chart":
+			fmt.Println(table.Chart())
+		case "csv":
+			fmt.Print(table.CSV())
+		default:
+			fmt.Println(table.Format())
 		}
 		if *format != "csv" {
 			fmt.Printf("(%s completed in %.1fs)\n\n", id, time.Since(start).Seconds())

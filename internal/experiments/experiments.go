@@ -49,14 +49,11 @@ type Options struct {
 	// the sweep with an error naming the offending run. Checked runs are
 	// never cache-elided, so sweeps re-simulate repeated configurations.
 	Check bool
-	// Parallel is the sweep worker-pool width (0 = GOMAXPROCS). Results
-	// are bit-identical at any width: every run is a shared-nothing
-	// simulator instance seeded from (benchmark, Seed) alone.
-	Parallel int
 	// Runner, when non-nil, executes the sweeps; sharing one Runner
 	// across experiments shares its content-addressed run cache, so
-	// configurations repeated between figures simulate once. Nil builds
-	// a private runner with Parallel workers per experiment.
+	// configurations repeated between figures simulate once. Its Workers
+	// is the pool width; results are bit-identical at any width. Nil
+	// builds a private GOMAXPROCS-wide runner per experiment.
 	Runner *runner.Runner
 	// Phases, when non-nil, is attached to every simulated run so the
 	// sweep's wall-clock time is attributed to pipeline phases
@@ -243,13 +240,27 @@ func (o Options) sweeper() *runner.Runner {
 	if o.Runner != nil {
 		return o.Runner
 	}
-	return runner.New(o.Parallel)
+	return runner.New(0)
 }
 
-// salvageable reports whether a sweep error still left usable Results: a
-// *runner.SweepError carries every successful cell of the batch (failed cells
-// are zero Results), so the driver can render a partial table and return it
-// alongside the error. Any other error means the batch never ran.
+// sweep runs one batch for the experiment named id and salvages it: when
+// some cells fail, the *runner.SweepError still carries every successful
+// cell (failed cells are zero Results), so sweep returns the Results with
+// the error and the driver renders a partial table from them. Any other
+// error returns nil Results. Errors are prefixed "<id>: ".
+func (o Options) sweep(id string, reqs []runner.Request) ([]pipeline.Result, error) {
+	rs, err := o.sweeper().RunAll(reqs)
+	if err == nil {
+		return rs, nil
+	}
+	err = fmt.Errorf("%s: %w", id, err)
+	if !salvageable(err) {
+		return nil, err
+	}
+	return rs, err
+}
+
+// salvageable reports whether a sweep error still left usable Results.
 func salvageable(err error) bool {
 	var se *runner.SweepError
 	return errors.As(err, &se)
@@ -342,45 +353,32 @@ func writeObsArtifacts(dir, id string, res pipeline.Result, ob *obs.Observer) {
 	export(base+".metrics.json", func(f *os.File) error { return ob.Registry.Snapshot().WriteJSON(f) })
 }
 
-// one adapts a single-table driver to the registry signature. A table is
-// passed through even when the driver also reports an error: partial tables
-// (salvaged from a *runner.SweepError) carry both.
-func one(f func(Options) (*Table, error)) func(Options) ([]*Table, error) {
-	return func(o Options) ([]*Table, error) {
-		t, err := f(o)
-		if t == nil {
-			return nil, err
-		}
-		return []*Table{t}, err
-	}
-}
-
 // Registry maps experiment IDs to their drivers. When some of a driver's runs
 // fail with a *runner.SweepError, the driver salvages the sweep: it returns
 // the table built from the successful cells (failed cells render as "-")
 // alongside the error, so hours of completed simulation are never discarded
-// because one cell crashed. Any other error yields no tables.
-func Registry() map[string]func(Options) ([]*Table, error) {
-	return map[string]func(Options) ([]*Table, error){
-		"params": one(func(o Options) (*Table, error) { return Params(), nil }),
-		"table3": one(Table3),
-		"fig3":   one(Fig3),
-		"table4": one(Table4),
-		"fig5":   one(Fig5),
-		"fig6":   one(Fig6),
-		"fig7":   one(Fig7),
-		"fig8":   one(Fig8),
-		"sens":   one(Sensitivity),
-		"ablate": one(Ablations),
+// because one cell crashed. Any other error yields no table.
+func Registry() map[string]func(Options) (*Table, error) {
+	return map[string]func(Options) (*Table, error){
+		"params": func(Options) (*Table, error) { return Params(), nil },
+		"table3": Table3,
+		"fig3":   Fig3,
+		"table4": Table4,
+		"fig5":   Fig5,
+		"fig6":   Fig6,
+		"fig7":   Fig7,
+		"fig8":   Fig8,
+		"sens":   Sensitivity,
+		"ablate": Ablations,
 		// Extensions beyond the paper's figures: the §4.2 leakage
 		// argument quantified, and the §1/§8 multi-threaded
 		// partitioning proposal.
-		"ext-energy": one(Energy),
-		"ext-smt":    one(SMT),
+		"ext-energy": Energy,
+		"ext-smt":    SMT,
 		// Policy-as-data extensions (internal/policy): the spec-driven
 		// policy comparison and the decision-trace counterfactual.
-		"policy":         one(PolicyTable),
-		"counterfactual": one(Counterfactual),
+		"policy":         PolicyTable,
+		"counterfactual": Counterfactual,
 	}
 }
 

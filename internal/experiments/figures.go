@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"clustersim/internal/pipeline"
+	"clustersim/internal/policy"
 	"clustersim/internal/runner"
 	"clustersim/internal/stats"
 	"clustersim/internal/workload"
@@ -29,12 +30,9 @@ func Table3(o Options) (*Table, error) {
 	for i, b := range benches {
 		reqs[i] = o.request("table3", b, pipeline.MonolithicConfig(), o.Window(b))
 	}
-	rs, err := o.sweeper().RunAll(reqs)
-	if err != nil {
-		err = fmt.Errorf("table3: %w", err)
-		if !salvageable(err) {
-			return nil, err
-		}
+	rs, err := o.sweep("table3", reqs)
+	if rs == nil {
+		return nil, err
 	}
 	for i, b := range benches {
 		pd, _ := workload.Paper(b)
@@ -71,39 +69,25 @@ func Fig3(o Options) (*Table, error) {
 			"distant(16): fraction of committed instructions of the 16-cluster run that issued >=120 behind the ROB head",
 		},
 	}
-	counts := []int{2, 4, 8, 16}
-	benches := o.benchmarks()
-	var reqs []runner.Request
-	for _, b := range benches {
-		for _, n := range counts {
-			cfg := pipeline.DefaultConfig()
-			cfg.ActiveClusters = n
-			reqs = append(reqs, o.request(fmt.Sprintf("fig3-c%d", n), b, cfg, o.Window(b)))
-		}
-	}
-	rs, err := o.sweeper().RunAll(reqs)
+	specs, err := columnPolicies([]string{"static-2", "static-4", "static-8", "static-16"})
 	if err != nil {
-		err = fmt.Errorf("fig3: %w", err)
-		if !salvageable(err) {
-			return nil, err
-		}
+		return nil, err
 	}
-	for bi, b := range benches {
+	sweep, err := schemeSweep(o, "fig3", pipeline.DefaultConfig(), specs)
+	if sweep == nil {
+		return nil, err
+	}
+	for bi, b := range o.benchmarks() {
 		row := Row{Name: b}
-		best, bestN := 0.0, 0
-		for ci, n := range counts {
-			r := rs[bi*len(counts)+ci]
+		best, bestCell := 0.0, Str("-")
+		for ci, r := range sweep[bi] {
 			row.Cells = append(row.Cells, ipcCell(r))
 			if !failed(r) && r.IPC() > best {
-				best, bestN = r.IPC(), n
+				best, bestCell = r.IPC(), Str(t.Columns[ci])
 			}
 		}
-		bestCell := Str("-")
-		if bestN > 0 {
-			bestCell = Str(fmt.Sprintf("%d", bestN))
-		}
 		distant := Str("-")
-		if wide := rs[(bi+1)*len(counts)-1]; !failed(wide) { // the 16-cluster cell
+		if wide := sweep[bi][3]; !failed(wide) { // the 16-cluster cell
 			distant = Num(wide.DistantILPFraction(), 4)
 		}
 		row.Cells = append(row.Cells, bestCell, distant)
@@ -135,12 +119,9 @@ func Table4(o Options) (*Table, error) {
 		reqs[i] = o.request("table4", b, pipeline.DefaultConfig(), 2*o.Window(b))
 		reqs[i].Controller = recs[i]
 	}
-	rs, err := o.sweeper().RunAll(reqs)
-	if err != nil {
-		err = fmt.Errorf("table4: %w", err)
-		if !salvageable(err) {
-			return nil, err
-		}
+	rs, err := o.sweep("table4", reqs)
+	if rs == nil {
+		return nil, err
 	}
 	for i, b := range benches {
 		pd, _ := workload.Paper(b)
@@ -168,27 +149,23 @@ func Table4(o Options) (*Table, error) {
 	return t, err
 }
 
-// schemeSweep submits one request per benchmark×scheme cell (bench-major
-// order) and returns results indexed [bench][scheme]. Schemes are named by
-// their column labels (see columnPolicy).
-func schemeSweep(o Options, id string, cfg pipeline.Config, schemes []string) ([][]pipeline.Result, error) {
-	specs, err := columnPolicies(schemes)
-	if err != nil {
-		return nil, err
-	}
+// schemeSweep runs one cell per benchmark × policy spec on machine cfg as a
+// single batch (bench-major) and returns its Results indexed [bench][spec],
+// salvaged as Options.sweep does.
+func schemeSweep(o Options, id string, cfg pipeline.Config, specs []*policy.Spec) ([][]pipeline.Result, error) {
 	benches := o.benchmarks()
 	reqs := make([]runner.Request, 0, len(benches)*len(specs))
 	for _, b := range benches {
 		for _, s := range specs {
 			req, err := o.policyRequest(id, b, cfg, s)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %w", id, err)
 			}
 			reqs = append(reqs, req)
 		}
 	}
-	flat, err := o.sweeper().RunAll(reqs)
-	if err != nil && !salvageable(err) {
+	flat, err := o.sweep(id, reqs)
+	if flat == nil {
 		return nil, err
 	}
 	out := make([][]pipeline.Result, len(benches))
@@ -196,6 +173,36 @@ func schemeSweep(o Options, id string, cfg pipeline.Config, schemes []string) ([
 		out[bi] = flat[bi*len(specs) : (bi+1)*len(specs)]
 	}
 	return out, err
+}
+
+// schemeFigure renders a scheme figure (Figs 5–8): one IPC row per
+// benchmark, a cell per column of t (each a columnPolicy label) simulated on
+// machine cfg, then summarize's geomean row and vs-best-static notes. The
+// first two columns are the static bases. cell, when non-nil, sees every
+// successful cell's Result with its column index.
+func schemeFigure(o Options, t *Table, cfg pipeline.Config, cell func(col int, r pipeline.Result)) (*Table, error) {
+	specs, err := columnPolicies(t.Columns)
+	if err != nil {
+		return nil, err
+	}
+	sweep, err := schemeSweep(o, t.ID, cfg, specs)
+	if sweep == nil {
+		return nil, err
+	}
+	ipcs := map[string][]float64{}
+	for bi, b := range o.benchmarks() {
+		row := Row{Name: b}
+		for ci, r := range sweep[bi] {
+			row.Cells = append(row.Cells, ipcCell(r))
+			ipcs[b] = append(ipcs[b], r.IPC())
+			if cell != nil && !failed(r) {
+				cell(ci, r)
+			}
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	summarize(t, ipcs, []int{0, 1})
+	return t, err
 }
 
 // summarize appends a geomean row plus improvement-vs-best-static notes.
@@ -254,136 +261,74 @@ func summarize(t *Table, ipcs map[string][]float64, staticCols []int) {
 // with exploration and the no-exploration distant-ILP scheme at three fixed
 // interval lengths, on the centralized cache.
 func Fig5(o Options) (*Table, error) {
-	t := &Table{
+	var distant, reconf []float64
+	t, err := schemeFigure(o, &Table{
 		ID:      "fig5",
 		Title:   "Interval-based schemes, centralized cache (paper Figure 5)",
 		Columns: []string{"static-4", "static-16", "explore", "dilp-500", "dilp-1K", "dilp-10K"},
-	}
-	sweep, err := schemeSweep(o, "fig5", pipeline.DefaultConfig(), t.Columns)
-	if err != nil {
-		err = fmt.Errorf("fig5: %w", err)
-		if sweep == nil {
-			return nil, err
+	}, pipeline.DefaultConfig(), func(col int, r pipeline.Result) {
+		if col == 2 { // explore
+			distant = append(distant, r.DistantILPFraction())
+			reconf = append(reconf, r.ReconfigsPerMInstr())
 		}
+	})
+	if t == nil {
+		return nil, err
 	}
-	ipcs := map[string][]float64{}
-	var exploreDistant, exploreReconf []float64
-	for bi, b := range o.benchmarks() {
-		row := Row{Name: b}
-		for i, r := range sweep[bi] {
-			row.Cells = append(row.Cells, ipcCell(r))
-			ipcs[b] = append(ipcs[b], r.IPC())
-			if i == 2 && !failed(r) {
-				exploreDistant = append(exploreDistant, r.DistantILPFraction())
-				exploreReconf = append(exploreReconf, r.ReconfigsPerMInstr())
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	summarize(t, ipcs, []int{0, 1})
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"explore scheme: mean distant-ILP fraction %.2f, %.0f reconfigurations per M instructions",
-		mean(exploreDistant), mean(exploreReconf)))
+		mean(distant), mean(reconf)))
 	return t, err
 }
 
 // Fig6 reproduces Figure 6: the fine-grained reconfiguration schemes
 // against the exploration scheme and the static bases.
 func Fig6(o Options) (*Table, error) {
-	t := &Table{
+	return schemeFigure(o, &Table{
 		ID:      "fig6",
 		Title:   "Fine-grained reconfiguration (paper Figure 6)",
 		Columns: []string{"static-4", "static-16", "explore", "fg-branch", "fg-callreturn"},
-	}
-	sweep, err := schemeSweep(o, "fig6", pipeline.DefaultConfig(), t.Columns)
-	if err != nil {
-		err = fmt.Errorf("fig6: %w", err)
-		if sweep == nil {
-			return nil, err
-		}
-	}
-	ipcs := map[string][]float64{}
-	for bi, b := range o.benchmarks() {
-		row := Row{Name: b}
-		for _, r := range sweep[bi] {
-			row.Cells = append(row.Cells, ipcCell(r))
-			ipcs[b] = append(ipcs[b], r.IPC())
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	summarize(t, ipcs, []int{0, 1})
-	return t, err
+	}, pipeline.DefaultConfig(), nil)
 }
 
 // Fig7 reproduces Figure 7: the decentralized cache model under the
 // interval-based schemes, including reconfiguration cache flushes.
 func Fig7(o Options) (*Table, error) {
-	t := &Table{
+	cfg := pipeline.DefaultConfig()
+	cfg.Cache = pipeline.DecentralizedCache
+	var flushWB, flushes uint64
+	var reconf []float64
+	t, err := schemeFigure(o, &Table{
 		ID:      "fig7",
 		Title:   "Interval-based schemes, decentralized cache (paper Figure 7)",
 		Columns: []string{"static-4", "static-16", "explore", "dilp-1K", "dilp-10K"},
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Cache = pipeline.DecentralizedCache
-	sweep, err := schemeSweep(o, "fig7", cfg, t.Columns)
-	if err != nil {
-		err = fmt.Errorf("fig7: %w", err)
-		if sweep == nil {
-			return nil, err
+	}, cfg, func(col int, r pipeline.Result) {
+		if col == 2 { // explore
+			flushWB += r.Mem.FlushWritebacks
+			flushes += r.Mem.Flushes
+			reconf = append(reconf, r.ReconfigsPerMInstr())
 		}
+	})
+	if t == nil {
+		return nil, err
 	}
-	ipcs := map[string][]float64{}
-	var flushWB, flushes uint64
-	var exploreReconf []float64
-	for bi, b := range o.benchmarks() {
-		row := Row{Name: b}
-		for i, r := range sweep[bi] {
-			row.Cells = append(row.Cells, ipcCell(r))
-			ipcs[b] = append(ipcs[b], r.IPC())
-			if i == 2 && !failed(r) {
-				flushWB += r.Mem.FlushWritebacks
-				flushes += r.Mem.Flushes
-				exploreReconf = append(exploreReconf, r.ReconfigsPerMInstr())
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	summarize(t, ipcs, []int{0, 1})
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"explore scheme: %d reconfiguration flushes, %d writebacks (paper: flushes cost ~0.3%% IPC)",
 		flushes, flushWB))
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"explore scheme: mean %.0f reconfigurations per M instructions",
-		mean(exploreReconf)))
+		mean(reconf)))
 	return t, err
 }
 
 // Fig8 reproduces Figure 8: the grid interconnect under the exploration
 // scheme.
 func Fig8(o Options) (*Table, error) {
-	t := &Table{
+	cfg := pipeline.DefaultConfig()
+	cfg.Topology = pipeline.GridTopology
+	return schemeFigure(o, &Table{
 		ID:      "fig8",
 		Title:   "Grid interconnect (paper Figure 8)",
 		Columns: []string{"static-4", "static-16", "explore"},
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Topology = pipeline.GridTopology
-	sweep, err := schemeSweep(o, "fig8", cfg, t.Columns)
-	if err != nil {
-		err = fmt.Errorf("fig8: %w", err)
-		if sweep == nil {
-			return nil, err
-		}
-	}
-	ipcs := map[string][]float64{}
-	for bi, b := range o.benchmarks() {
-		row := Row{Name: b}
-		for _, r := range sweep[bi] {
-			row.Cells = append(row.Cells, ipcCell(r))
-			ipcs[b] = append(ipcs[b], r.IPC())
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	summarize(t, ipcs, []int{0, 1})
-	return t, err
+	}, cfg, nil)
 }

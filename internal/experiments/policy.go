@@ -133,12 +133,9 @@ func PolicyTable(o Options) (*Table, error) {
 			reqs = append(reqs, req)
 		}
 	}
-	rs, err := o.sweeper().RunAll(reqs)
-	if err != nil {
-		err = fmt.Errorf("policy: %w", err)
-		if !salvageable(err) {
-			return nil, err
-		}
+	rs, err := o.sweep("policy", reqs)
+	if rs == nil {
+		return nil, err
 	}
 
 	model := energy.DefaultModel()
@@ -223,17 +220,19 @@ func Counterfactual(o Options) (*Table, error) {
 		},
 	}
 
-	// Phase 1: record the base policy's trace per benchmark. Recording
-	// runs are uncacheable (the trace lives on the Recorder instance, which
-	// carries no PolicyKey). A static base records through a Recorder with
-	// no inner controller.
+	// One batch holds two independent sets of cells. First the base
+	// policy's recording run per benchmark: uncacheable (the trace lives on
+	// the Recorder instance, which carries no PolicyKey); a static base
+	// records through a Recorder with no inner controller. Then every
+	// alternative's re-simulation: cacheable, so these cells are shared
+	// with the policy experiment.
 	benches := o.benchmarks()
 	baseFP, err := base.Fingerprint()
 	if err != nil {
 		return nil, err
 	}
 	traces := make([]*policy.DecisionTrace, len(benches))
-	recReqs := make([]runner.Request, len(benches))
+	reqs := make([]runner.Request, len(benches), len(benches)*(1+len(alts)))
 	for bi, b := range benches {
 		cfg, inner, _, berr := base.Instantiate(pipeline.DefaultConfig())
 		if berr != nil {
@@ -243,40 +242,24 @@ func Counterfactual(o Options) (*Table, error) {
 			Policy: baseLabel[0], PolicyFP: baseFP, ConfigFP: cfg.Fingerprint()}
 		req := o.request("cf-record", b, cfg, o.Window(b))
 		req.Controller = policy.NewRecorder(inner, traces[bi])
-		recReqs[bi] = req
+		reqs[bi] = req
 	}
-	baseRes, err := o.sweeper().RunAll(recReqs)
-	if err != nil {
-		err = fmt.Errorf("counterfactual: %w", err)
-		if !salvageable(err) {
-			return nil, err
-		}
-	}
-
-	// Phase 2: re-simulate every alternative (cacheable — these cells are
-	// shared with the policy experiment and any search that visited them).
-	var simReqs []runner.Request
 	for _, b := range benches {
 		for ai := range alts {
 			req, rerr := o.policyRequest(fmt.Sprintf("cf-alt-%d", ai), b, pipeline.DefaultConfig(), alts[ai])
 			if rerr != nil {
 				return nil, fmt.Errorf("counterfactual: %w", rerr)
 			}
-			simReqs = append(simReqs, req)
+			reqs = append(reqs, req)
 		}
 	}
-	altRes, simErr := o.sweeper().RunAll(simReqs)
-	if simErr != nil {
-		simErr = fmt.Errorf("counterfactual: %w", simErr)
-		if !salvageable(simErr) {
-			return nil, simErr
-		}
-		if err == nil {
-			err = simErr
-		}
+	rs, err := o.sweep("counterfactual", reqs)
+	if rs == nil {
+		return nil, err
 	}
+	baseRes, altRes := rs[:len(benches)], rs[len(benches):]
 
-	// Phase 3: replay each alternative against each trace and assemble.
+	// Replay each alternative against each trace and assemble.
 	for bi, b := range benches {
 		if failed(baseRes[bi]) {
 			for _, al := range altLabels {

@@ -64,12 +64,9 @@ func Sensitivity(o Options) (*Table, error) {
 			}
 		}
 	}
-	rs, err := o.sweeper().RunAll(reqs)
-	if err != nil {
-		err = fmt.Errorf("sens: %w", err)
-		if !salvageable(err) {
-			return nil, err
-		}
+	rs, err := o.sweep("sens", reqs)
+	if rs == nil {
+		return nil, err
 	}
 	for vi, v := range variants {
 		// Geomean IPC over the benchmark set per scheme. In a salvaged
@@ -161,12 +158,9 @@ func Ablations(o Options) (*Table, error) {
 		}
 		reqs = append(reqs, req)
 	}
-	rs, err := o.sweeper().RunAll(reqs)
-	if err != nil {
-		err = fmt.Errorf("ablate: %w", err)
-		if !salvageable(err) {
-			return nil, err
-		}
+	rs, err := o.sweep("ablate", reqs)
+	if rs == nil {
+		return nil, err
 	}
 
 	var centralBase, distBase float64

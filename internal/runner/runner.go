@@ -415,32 +415,10 @@ func (r *Runner) RunAll(reqs []Request) ([]pipeline.Result, error) {
 	r.Meter.Enqueued(len(todo))
 	r.queued.Add(int64(len(todo)))
 
-	workers := r.workers()
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, i := range todo {
-			results[i], errs[i] = r.execute(&reqs[i], keys[i])
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i], errs[i] = r.execute(&reqs[i], keys[i])
-				}
-			}()
-		}
-		for _, i := range todo {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	pool(r.workers(), len(todo), func(k int) {
+		i := todo[k]
+		results[i], errs[i] = r.execute(&reqs[i], keys[i])
+	})
 
 	for i := range reqs {
 		if j := dupOf[i]; j >= 0 {
@@ -633,35 +611,8 @@ func (r *Runner) executeOnce(q *Request, key uint64) (res pipeline.Result, err e
 // sweeps whose cells are not plain pipeline runs (e.g. the SMT co-schedule
 // studies); fn must be safe for concurrent invocation on distinct indices.
 func Each(workers, n int, fn func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = safeCall(fn, i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					errs[i] = safeCall(fn, i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	pool(workers, n, func(i int) { errs[i] = safeCall(fn, i) })
 	var msgs []string
 	for i, err := range errs {
 		if err != nil {
@@ -672,6 +623,40 @@ func Each(workers, n int, fn func(i int) error) error {
 		return fmt.Errorf("%d of %d cells failed: %s", len(msgs), n, strings.Join(msgs, "; "))
 	}
 	return nil
+}
+
+// pool calls fn(0..n-1) on at most workers goroutines (<= 0 selects
+// GOMAXPROCS), each index once, and returns when every call has. A single
+// worker runs the calls in index order on the calling goroutine.
+func pool(workers, n int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 }
 
 func safeCall(fn func(int) error, i int) (err error) {
