@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"clustersim/internal/runner"
 	"clustersim/internal/spec"
@@ -155,6 +157,12 @@ func (o Options) buildGenerator(bench string, seed uint64) (workload.Generator, 
 // A directory recorded at some -scale serves any replay at the same or
 // smaller scale under every policy: generation is machine-independent, so
 // the recorded prefix is exactly what live runs consume.
+//
+// The benchmarks record concurrently on the sweep pool (o.sweeper()'s
+// width). Each compiles its own generator and writes its own file, so the
+// files are identical at any width. A failing benchmark does not stop the
+// others: the error names every one that failed, in benchmark order, and
+// the files of the rest stay written.
 func RecordTraces(o Options, dir string, headroom uint64) (int, error) {
 	if headroom == 0 {
 		headroom = trace.DefaultHeadroom
@@ -163,14 +171,27 @@ func RecordTraces(o Options, dir string, headroom uint64) (int, error) {
 		return 0, fmt.Errorf("experiments: trace dir: %w", err)
 	}
 	benches := o.benchmarks()
-	for _, bench := range benches {
-		gen, meta, err := o.buildGenerator(bench, o.seed())
-		if err != nil {
-			return 0, err
+	errs := make([]error, len(benches))
+	var written atomic.Int64
+	// Each failure lands in its benchmark's slot, so Each itself fails only
+	// when a recording panics.
+	panicked := runner.Each(o.sweeper().Workers, len(benches), func(i int) error {
+		if err := o.recordTrace(dir, benches[i], headroom); err != nil {
+			errs[i] = fmt.Errorf("%s: %w", benches[i], err)
+		} else {
+			written.Add(1)
 		}
-		if _, err := trace.RecordFile(TraceFileName(dir, bench, o.seed()), gen, o.Window(bench)+headroom, meta); err != nil {
-			return 0, err
-		}
+		return nil
+	})
+	return int(written.Load()), errors.Join(append(errs, panicked)...)
+}
+
+// recordTrace records one benchmark's stream to its file under dir.
+func (o Options) recordTrace(dir, bench string, headroom uint64) error {
+	gen, meta, err := o.buildGenerator(bench, o.seed())
+	if err != nil {
+		return err
 	}
-	return len(benches), nil
+	_, err = trace.RecordFile(TraceFileName(dir, bench, o.seed()), gen, o.Window(bench)+headroom, meta)
+	return err
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -118,6 +119,85 @@ func TestRecordTracesAndReplaySweep(t *testing.T) {
 	for _, q := range replayReqs {
 		if !strings.HasPrefix(q.SourceKey, "trace:") {
 			t.Errorf("replayed cell %s SourceKey = %q, want trace:<fp>", q.Bench, q.SourceKey)
+		}
+	}
+}
+
+// TestRecordTracesAnyWidth: recording on a pool of 1, 2 or 4 workers
+// writes the same files, byte for byte, and returns the same count.
+func TestRecordTracesAnyWidth(t *testing.T) {
+	o := tinyOpts()
+	o.Benchmarks = append(o.Benchmarks, "phase-thrash")
+	o.Specs = map[string]*spec.Spec{"phase-thrash": loadThrashSpec(t)}
+	var want map[string][]byte
+	wantN := 0
+	for _, width := range []int{1, 2, 4} {
+		o.Runner = runner.New(width)
+		dir := t.TempDir()
+		n, err := RecordTraces(o, dir, 0)
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		files := readFiles(t, dir)
+		if want == nil {
+			want, wantN = files, n
+			if n != len(o.Benchmarks) || len(files) != n {
+				t.Fatalf("width 1 recorded %d traces into %d files, want %d", n, len(files), len(o.Benchmarks))
+			}
+			continue
+		}
+		if n != wantN || len(files) != len(want) {
+			t.Fatalf("width %d recorded %d traces into %d files, width 1 %d into %d", width, n, len(files), wantN, len(want))
+		}
+		for name, data := range want {
+			if !bytes.Equal(files[name], data) {
+				t.Errorf("width %d: %s differs from the width-1 recording", width, name)
+			}
+		}
+	}
+}
+
+// readFiles returns every file in dir by name.
+func readFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestRecordTracesNamesEveryFailure: failing benchmarks do not stop the
+// others. The error names each failure in benchmark order, and the
+// benchmarks that succeeded keep their files.
+func TestRecordTracesNamesEveryFailure(t *testing.T) {
+	o := tinyOpts()
+	o.Benchmarks = []string{"gzip", "nope-a", "vpr", "nope-b"}
+	o.Runner = runner.New(2)
+	dir := t.TempDir()
+	n, err := RecordTraces(o, dir, 0)
+	if err == nil {
+		t.Fatal("recording unknown benchmarks succeeded")
+	}
+	msg := err.Error()
+	a, b := strings.Index(msg, "nope-a"), strings.Index(msg, "nope-b")
+	if a < 0 || b < a {
+		t.Fatalf("error does not name nope-a before nope-b: %v", msg)
+	}
+	if n != 2 {
+		t.Errorf("RecordTraces reports %d traces written, want 2", n)
+	}
+	for _, bench := range []string{"gzip", "vpr"} {
+		if _, err := trace.PeekHeader(TraceFileName(dir, bench, o.Seed)); err != nil {
+			t.Errorf("%s: %v", bench, err)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,7 +19,7 @@ import (
 // buildFor constructs a fresh processor for (bench, seed, cfg, ctrl-factory):
 // resume equivalence is about restoring into a *newly constructed* machine,
 // exactly what a restarted process would do.
-func buildFor(t *testing.T, bench string, seed uint64, cfg pipeline.Config, mkCtrl func() pipeline.Controller) *pipeline.Processor {
+func buildFor(t testing.TB, bench string, seed uint64, cfg pipeline.Config, mkCtrl func() pipeline.Controller) *pipeline.Processor {
 	t.Helper()
 	gen, err := workload.New(bench, seed)
 	if err != nil {
@@ -34,7 +36,7 @@ func buildFor(t *testing.T, bench string, seed uint64, cfg pipeline.Config, mkCt
 	return p
 }
 
-func runOK(t *testing.T, p *pipeline.Processor, n uint64) pipeline.Result {
+func runOK(t testing.TB, p *pipeline.Processor, n uint64) pipeline.Result {
 	t.Helper()
 	res, err := p.Run(n)
 	if err != nil {
@@ -329,4 +331,45 @@ func TestStopFlag(t *testing.T) {
 	if _, err := p.Run(10_000 - p.Committed()); err != nil {
 		t.Fatalf("run after stop: %v", err)
 	}
+}
+
+// BenchmarkCheckpoint times one snapshot of gzip under explore at 50K
+// instructions (about 2 MB, mostly the link and bank calendars and the L2
+// arrays): save writes it to a file, load restores it from memory into a
+// fresh processor, whose construction is not timed.
+func BenchmarkCheckpoint(b *testing.B) {
+	explore := func() pipeline.Controller { return core.NewExplore(core.ExploreConfig{}) }
+	p := buildFor(b, "gzip", 1, pipeline.DefaultConfig(), explore)
+	runOK(b, p, 50_000)
+	var snap bytes.Buffer
+	if err := p.SaveCheckpoint(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		f, err := os.Create(filepath.Join(b.TempDir(), "gzip.snap"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		b.SetBytes(int64(snap.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := f.Seek(0, 0); err != nil {
+				b.Fatal(err)
+			}
+			if err := p.SaveCheckpoint(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(int64(snap.Len()))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			q := buildFor(b, "gzip", 1, pipeline.DefaultConfig(), explore)
+			b.StartTimer()
+			if err := q.LoadCheckpoint(bytes.NewReader(snap.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

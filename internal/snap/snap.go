@@ -57,8 +57,12 @@ type Codec struct {
 	buf [8]byte
 }
 
+// saveBuffer is a saving codec's buffer size: a ~2 MB processor snapshot
+// reaches its writer in about 32 writes.
+const saveBuffer = 64 << 10
+
 // NewSaver returns a saving Codec over w. Call Flush before using the bytes.
-func NewSaver(w io.Writer) *Codec { return &Codec{w: bufio.NewWriter(w)} }
+func NewSaver(w io.Writer) *Codec { return &Codec{w: bufio.NewWriterSize(w, saveBuffer)} }
 
 // NewLoader returns a loading Codec over r.
 func NewLoader(r io.Reader) *Codec { return &Codec{r: bufio.NewReader(r)} }
@@ -181,41 +185,53 @@ func (c *Codec) F64(p *float64) {
 // load fails on a word that does not fit *p's type, rather than keeping its
 // low bits.
 func Narrow[T ~uint8 | ~uint16 | ~uint32 | ~int32](c *Codec, p *T) {
-	v, ok := c.word(uint64(*p))
-	if !ok {
-		return
+	if v, ok := c.word(uint64(*p)); ok {
+		c.Fail(narrow(v, p))
 	}
+}
+
+// narrow stores word v into *p, or fails if v does not fit *p's type.
+func narrow[T ~uint8 | ~uint16 | ~uint32 | ~int32](v uint64, p *T) error {
 	if uint64(T(v)) != v {
-		c.Fail(fmt.Errorf("snap: word %#x overflows a %T field (corrupt snapshot?)", v, *p))
-		return
+		return fmt.Errorf("snap: word %#x overflows a %T field (corrupt snapshot?)", v, *p)
 	}
 	*p = T(v)
+	return nil
 }
 
 // Bool carries a boolean as one byte, 0 or 1.
 func (c *Codec) Bool(p *bool) {
 	if c.r == nil {
-		var b byte
-		if *p {
-			b = 1
-		}
 		if c.err == nil {
-			c.Fail(c.w.WriteByte(b))
+			c.Fail(c.w.WriteByte(boolByte(*p)))
 		}
 		return
 	}
 	if c.err != nil {
 		return
 	}
-	b, err := c.r.ReadByte()
-	switch {
-	case err != nil:
+	if b, err := c.r.ReadByte(); err != nil {
 		c.Fail(truncated(err))
-	case b > 1:
-		c.Fail(fmt.Errorf("snap: invalid bool byte %#x", b))
-	default:
-		*p = b == 1
+	} else {
+		c.Fail(getBool(b, p))
 	}
+}
+
+// boolByte is a boolean's byte: 1 for true, 0 for false.
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// getBool stores byte b into *p, or fails unless it is 0 or 1.
+func getBool(b byte, p *bool) error {
+	if b > 1 {
+		return fmt.Errorf("snap: invalid bool byte %#x", b)
+	}
+	*p = b == 1
+	return nil
 }
 
 // bounded carries a count or length: a load fails on one above limit, so a
@@ -349,31 +365,50 @@ func (c *Codec) Present(has bool, what string) bool {
 // FixedU64s carries a configuration-sized table of words in place: the
 // length must match len(s) exactly.
 func (c *Codec) FixedU64s(s []uint64, what string) {
-	c.Len(len(s), what)
-	for i := range s {
-		c.U64(&s[i])
-	}
+	fixed(c, s, what, 8, func(b []byte, s []uint64) []byte {
+		for _, v := range s {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}, func(b []byte, s []uint64) error {
+		for i := range s {
+			s[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		return nil
+	})
 }
 
-// FixedU32s is FixedU64s for a table of 32-bit values, one word each.
+// FixedU32s is FixedU64s for a table of 32-bit values, one word each. A
+// load fails on a word that does not fit 32 bits.
 func (c *Codec) FixedU32s(s []uint32, what string) {
-	c.Len(len(s), what)
-	for i := range s {
-		Narrow(c, &s[i])
-	}
+	fixed(c, s, what, 8, func(b []byte, s []uint32) []byte {
+		for _, v := range s {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}, func(b []byte, s []uint32) error {
+		for i := range s {
+			if err := narrow(binary.LittleEndian.Uint64(b[8*i:]), &s[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // FixedU16s is FixedU64s for a table of 16-bit values, two bytes each.
 func (c *Codec) FixedU16s(s []uint16, what string) {
-	c.Len(len(s), what)
-	for i := range s {
-		if c.r == nil {
-			binary.LittleEndian.PutUint16(c.buf[:2], s[i])
-			c.put(c.buf[:2])
-		} else if c.get(c.buf[:2]) {
-			s[i] = binary.LittleEndian.Uint16(c.buf[:2])
+	fixed(c, s, what, 2, func(b []byte, s []uint16) []byte {
+		for _, v := range s {
+			b = binary.LittleEndian.AppendUint16(b, v)
 		}
-	}
+		return b
+	}, func(b []byte, s []uint16) error {
+		for i := range s {
+			s[i] = binary.LittleEndian.Uint16(b[2*i:])
+		}
+		return nil
+	})
 }
 
 // FixedU8s is FixedU64s for a table of bytes, written as they are.
@@ -385,11 +420,58 @@ func (c *Codec) FixedU8s(s []uint8, what string) {
 	}
 }
 
-// FixedBools is FixedU64s for a table of booleans, one byte each.
+// FixedBools is FixedU64s for a table of booleans, one byte each, 0 or 1.
 func (c *Codec) FixedBools(s []bool, what string) {
+	fixed(c, s, what, 1, func(b []byte, s []bool) []byte {
+		for _, v := range s {
+			b = append(b, boolByte(v))
+		}
+		return b
+	}, func(b []byte, s []bool) error {
+		for i := range s {
+			if err := getBool(b[i], &s[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// fixed carries a configuration-sized table of size-byte elements in
+// bulk, a chunk at a time. A saving codec encodes each chunk with put
+// straight into the writer's free buffer; a loading codec decodes each
+// from the reader's buffer with get, in place. A load fails where the
+// stream cuts short or at the first element get rejects; the elements
+// before it are loaded.
+func fixed[T any](c *Codec, s []T, what string, size int, put func([]byte, []T) []byte, get func([]byte, []T) error) {
 	c.Len(len(s), what)
-	for i := range s {
-		c.Bool(&s[i])
+	for len(s) > 0 && c.err == nil {
+		var n int
+		if c.r == nil {
+			b := c.w.AvailableBuffer()
+			if n = min(len(s), cap(b)/size); n == 0 {
+				c.Fail(c.w.Flush())
+				continue
+			}
+			_, err := c.w.Write(put(b, s[:n]))
+			c.Fail(err)
+		} else {
+			b, err := c.r.Peek(min(len(s)*size, c.r.Size()))
+			if n = len(b) / size; n == 0 {
+				if err == io.EOF && len(b) > 0 {
+					err = io.ErrUnexpectedEOF
+				}
+				c.Fail(truncated(err))
+				return
+			}
+			if err := get(b, s[:n]); err != nil {
+				c.Fail(err)
+				return
+			}
+			_, err = c.r.Discard(n * size)
+			c.Fail(err)
+		}
+		s = s[n:]
 	}
 }
 

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -463,7 +464,8 @@ func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // TestBoolSavesWithoutAllocating pins Bool and FixedBools at zero
 // allocations: the L2's valid and dirty bits make them the most frequent
-// calls in a snapshot.
+// calls in a snapshot. Long tables, which fill the writer's buffer and
+// flush it on the way, allocate nothing either.
 func TestBoolSavesWithoutAllocating(t *testing.T) {
 	c := NewSaver(io.Discard)
 	b := true
@@ -474,7 +476,153 @@ func TestBoolSavesWithoutAllocating(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.FixedBools(flags, "flags") }); n != 0 {
 		t.Errorf("FixedBools allocates %.0f times per call", n)
 	}
+	long := newLongTables()
+	if n := testing.AllocsPerRun(100, func() { c.FixedBools(long.flags, "flags") }); n != 0 {
+		t.Errorf("FixedBools over %d entries allocates %.0f times per call", len(long.flags), n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.FixedU64s(long.words, "words") }); n != 0 {
+		t.Errorf("FixedU64s over %d entries allocates %.0f times per call", len(long.words), n)
+	}
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// longTables holds one table of each bulk kind. At longEntries each is
+// longer than a loader's buffer, and the word tables are longer than a
+// saver's too.
+type longTables struct {
+	words   []uint64
+	flags   []bool
+	fixed32 []uint32
+	fixed16 []uint16
+}
+
+const longEntries = 20_000
+
+func newLongTables() *longTables {
+	return &longTables{
+		words:   make([]uint64, longEntries),
+		flags:   make([]bool, longEntries),
+		fixed32: make([]uint32, longEntries),
+		fixed16: make([]uint16, longEntries),
+	}
+}
+
+// warmLongTables fills every entry with a value that differs from its
+// neighbours, so a chunk written or read at the wrong offset shows.
+func warmLongTables() *longTables {
+	l := newLongTables()
+	for i := range longEntries {
+		l.words[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+		l.flags[i] = i%3 == 1
+		l.fixed32[i] = uint32(i) * 2654435761
+		l.fixed16[i] = uint16(i * 40503)
+	}
+	return l
+}
+
+func (l *longTables) state(c *Codec) {
+	c.FixedU64s(l.words, "words")
+	c.FixedBools(l.flags, "flags")
+	c.FixedU32s(l.fixed32, "fixed32")
+	c.FixedU16s(l.fixed16, "fixed16")
+	c.End()
+}
+
+// saveLong returns the bytes of l's field list.
+func saveLong(t *testing.T, l *longTables) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c := NewSaver(&buf)
+	if l.state(c); c.Flush() != nil {
+		t.Fatalf("save: %v", c.Err())
+	}
+	return buf.Bytes()
+}
+
+// TestLongTablesRoundTrip: tables that span many chunks save the
+// element-by-element encoding (a length word, then each element at its
+// fixed width) and load back equal.
+func TestLongTablesRoundTrip(t *testing.T) {
+	want := warmLongTables()
+	data := saveLong(t, want)
+	var ref []byte
+	le := binary.LittleEndian
+	ref = le.AppendUint64(ref, longEntries)
+	for _, v := range want.words {
+		ref = le.AppendUint64(ref, v)
+	}
+	ref = le.AppendUint64(ref, longEntries)
+	for _, v := range want.flags {
+		ref = append(ref, boolByte(v))
+	}
+	ref = le.AppendUint64(ref, longEntries)
+	for _, v := range want.fixed32 {
+		ref = le.AppendUint64(ref, uint64(v))
+	}
+	ref = le.AppendUint64(ref, longEntries)
+	for _, v := range want.fixed16 {
+		ref = le.AppendUint16(ref, v)
+	}
+	if !bytes.Equal(data, ref) {
+		t.Fatalf("long tables save %d bytes that differ from the %d-byte element-wise encoding", len(data), len(ref))
+	}
+	got := newLongTables()
+	ld := NewLoader(bytes.NewReader(data))
+	if got.state(ld); ld.Err() != nil {
+		t.Fatalf("load: %v", ld.Err())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("long tables do not round trip")
+	}
+}
+
+// TestLongTablesTruncation: a cut at every offset inside tables that span
+// several of the loader's reads fails the load as truncated.
+func TestLongTablesTruncation(t *testing.T) {
+	l := &longTables{
+		words:   make([]uint64, 600),
+		flags:   make([]bool, 4500),
+		fixed32: make([]uint32, 600),
+		fixed16: make([]uint16, 2200),
+	}
+	data := saveLong(t, l)
+	for cut := 0; cut < len(data); cut++ {
+		ld := NewLoader(bytes.NewReader(data[:cut]))
+		l.state(ld)
+		err := ld.Err()
+		if err == nil || !strings.Contains(err.Error(), "truncated snapshot") {
+			t.Fatalf("cut at %d of %d: got %v, want a truncation", cut, len(data), err)
+		}
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d of %d: %v wraps neither EOF nor ErrUnexpectedEOF", cut, len(data), err)
+		}
+	}
+}
+
+// TestLongTablesRejectDeepCorruption: a bad bool byte and a word that
+// overflows 32 bits, deep inside long tables, fail the load with the
+// messages the element-wise loads give.
+func TestLongTablesRejectDeepCorruption(t *testing.T) {
+	data := saveLong(t, warmLongTables())
+	const deep = 15_000
+	flagsAt := 8 + 8*longEntries + 8 + deep
+	badBool := append([]byte(nil), data...)
+	badBool[flagsAt] = 2
+	fixed32At := 8 + 8*longEntries + 8 + longEntries + 8 + 8*deep
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"bool", badBool, "snap: invalid bool byte 0x2"},
+		{"u32", corrupt(data, fixed32At, 1<<32|5), "snap: word 0x100000005 overflows a uint32 field"},
+	} {
+		ld := NewLoader(bytes.NewReader(c.data))
+		newLongTables().state(ld)
+		if err := ld.Err(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
 	}
 }
