@@ -243,7 +243,7 @@ func presizedSlices(info *types.Info, body *ast.BlockStmt) map[types.Object]bool
 				continue
 			}
 			if b, ok := info.Uses[fid].(*types.Builtin); ok && b.Name() == "make" {
-				if obj := objectFor(info, id); obj != nil {
+				if obj := info.ObjectOf(id); obj != nil {
 					presized[obj] = true
 				}
 			}
@@ -298,16 +298,9 @@ func rootExprObject(info *types.Info, e ast.Expr) types.Object {
 		e = unparen(s.X)
 	}
 	if id, ok := e.(*ast.Ident); ok {
-		return objectFor(info, id)
+		return info.ObjectOf(id)
 	}
 	return nil
-}
-
-func objectFor(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
 }
 
 // typeLabel renders an expression's type for diagnostics.

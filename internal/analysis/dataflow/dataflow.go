@@ -1,7 +1,9 @@
 // Package dataflow is the shared intra-procedural dataflow layer under the
 // simlint passes that reason about where values go rather than what the
-// syntax looks like: field-access/assignment classification (cachekey),
-// call-graph closure over same-package helpers (cachekey, hotalloc), and
+// syntax looks like: receiver resolution and call-graph closure over
+// same-package helpers (the completeness passes snapstate, statsconserve
+// and cachekey; hotalloc), field-access/assignment classification and the
+// mentioned-field set (the completeness passes, syncsafety), and
 // escape-relevant expression classification (hotalloc).
 //
 // The analyses are deliberately lightweight — stdlib-only, built on the
@@ -69,6 +71,19 @@ func (g *Graph) Decls() []*ast.FuncDecl {
 // dynamic function values) end the walk there — the documented
 // intra-procedural limit. Roots are included; order is by source position.
 func (g *Graph) Closure(roots ...*ast.FuncDecl) []*ast.FuncDecl {
+	return g.walk(roots, func(*types.Func) bool { return true })
+}
+
+// Methods is Closure restricted to recv's own methods: the walk follows a
+// reference only to a method declared on recv, so a free function or
+// another type's method ends it.
+func (g *Graph) Methods(recv *types.TypeName, roots ...*ast.FuncDecl) []*ast.FuncDecl {
+	return g.walk(roots, func(fn *types.Func) bool { return receiverOf(fn) == recv })
+}
+
+// walk is the closure both Closure and Methods take, following a reference
+// to a unit-local declaration when follow accepts its function.
+func (g *Graph) walk(roots []*ast.FuncDecl, follow func(*types.Func) bool) []*ast.FuncDecl {
 	visited := make(map[*ast.FuncDecl]bool)
 	queue := append([]*ast.FuncDecl(nil), roots...)
 	for len(queue) > 0 {
@@ -84,7 +99,7 @@ func (g *Graph) Closure(roots ...*ast.FuncDecl) []*ast.FuncDecl {
 				return true
 			}
 			if fn, ok := g.info.Uses[id].(*types.Func); ok {
-				if callee := g.decls[fn]; callee != nil && !visited[callee] {
+				if callee := g.decls[fn]; callee != nil && !visited[callee] && follow(fn) {
 					queue = append(queue, callee)
 				}
 			}
@@ -97,6 +112,31 @@ func (g *Graph) Closure(roots ...*ast.FuncDecl) []*ast.FuncDecl {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
 	return out
+}
+
+// Receiver returns the named type fd is a method of, through a pointer
+// receiver; nil for a plain function.
+func Receiver(info *types.Info, fd *ast.FuncDecl) *types.TypeName {
+	fn, _ := info.Defs[fd.Name].(*types.Func)
+	return receiverOf(fn)
+}
+
+func receiverOf(fn *types.Func) *types.TypeName {
+	if fn == nil {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
 }
 
 // AccessKind classifies one field access.
@@ -173,6 +213,19 @@ func FieldAccesses(info *types.Info, fn *ast.FuncDecl) []Access {
 		out = append(out, Access{Sel: sel, Field: field, Kind: Read, Root: root})
 		return true
 	})
+	return out
+}
+
+// Mentioned is the set of fields FieldAccesses finds in fns, read or
+// written: what the completeness passes count as a codec or an identity
+// naming a field.
+func Mentioned(info *types.Info, fns []*ast.FuncDecl) map[*types.Var]bool {
+	out := make(map[*types.Var]bool)
+	for _, fd := range fns {
+		for _, a := range FieldAccesses(info, fd) {
+			out[a.Field] = true
+		}
+	}
 	return out
 }
 

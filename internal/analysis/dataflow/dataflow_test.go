@@ -143,3 +143,37 @@ func TestAllocSites(t *testing.T) {
 		t.Errorf("AllocMapRange = %d, want 1", counts[AllocMapRange])
 	}
 }
+
+func TestMethods(t *testing.T) {
+	u := loadFixture(t)
+	g := NewGraph(u.Info, u.Files)
+	codec := declByName(g, "codec")
+	recv := Receiver(u.Info, codec)
+	if recv == nil || recv.Name() != "box" {
+		t.Fatalf("Receiver(codec) = %v, want box", recv)
+	}
+	if r := Receiver(u.Info, declByName(g, "freeHop")); r != nil {
+		t.Errorf("Receiver(freeHop) = %v, want nil", r)
+	}
+	names := func(fds []*ast.FuncDecl) map[string]bool {
+		m := make(map[string]bool)
+		for _, fd := range fds {
+			m[fd.Name.Name] = true
+		}
+		return m
+	}
+	methods := g.Methods(recv, codec)
+	if got := names(methods); len(got) != 2 || !got["codec"] || !got["hop"] {
+		t.Errorf("Methods(box, codec) = %v, want codec and hop", got)
+	}
+	if got := names(g.Closure(codec)); !got["freeHop"] {
+		t.Errorf("Closure(codec) = %v, want it to include freeHop", got)
+	}
+	mentioned := make(map[string]bool)
+	for f := range Mentioned(u.Info, methods) {
+		mentioned[f.Name()] = true
+	}
+	if !mentioned["v"] || mentioned["w"] {
+		t.Errorf("Mentioned(Methods) = %v, want v and not w", mentioned)
+	}
+}

@@ -57,3 +57,11 @@ func allocs(n int) []int {
 	_ = f
 	return sink(s)
 }
+
+type box struct{ v, w int }
+
+func (b *box) codec() int { return b.hop() + freeHop(b) }
+
+func (b *box) hop() int { return b.v }
+
+func freeHop(b *box) int { return b.w }

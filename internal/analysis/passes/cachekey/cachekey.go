@@ -76,7 +76,7 @@ func run(pass *analysis.Pass) error {
 		if fd.Recv == nil || !keyMethodNames[fd.Name.Name] || !keyShape(pass, fd) {
 			continue
 		}
-		recv := receiverTypeName(pass, fd)
+		recv := dataflow.Receiver(pass.Info, fd)
 		if recv == nil {
 			continue
 		}
@@ -216,24 +216,4 @@ func keyShape(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		}
 	}
 	return true
-}
-
-// receiverTypeName resolves a method declaration's receiver to its named
-// type, unwrapping a pointer receiver.
-func receiverTypeName(pass *analysis.Pass, fd *ast.FuncDecl) *types.TypeName {
-	if len(fd.Recv.List) != 1 {
-		return nil
-	}
-	t := pass.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return named.Obj()
 }

@@ -253,10 +253,10 @@ func collectsSortedKeys(pass *analysis.Pass, fn *ast.FuncDecl, rng *ast.RangeStm
 			return false
 		}
 		arg, ok := call.Args[1].(*ast.Ident)
-		if !ok || pass.Info.Uses[arg] == nil || pass.Info.Uses[arg] != objectOf(pass, keyIdent) {
+		if !ok || pass.Info.Uses[arg] == nil || pass.Info.Uses[arg] != pass.Info.ObjectOf(keyIdent) {
 			return false
 		}
-		collected = append(collected, objectOf(pass, dst))
+		collected = append(collected, pass.Info.ObjectOf(dst))
 	}
 	if len(collected) == 0 {
 		return false
@@ -308,13 +308,6 @@ func sortedLater(pass *analysis.Pass, fn *ast.FuncDecl, obj types.Object) bool {
 		return true
 	})
 	return found
-}
-
-func objectOf(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.Info.Uses[id]
 }
 
 func isBuiltin(pass *analysis.Pass, fun ast.Expr, name string) bool {

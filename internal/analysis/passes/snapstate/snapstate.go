@@ -16,10 +16,8 @@
 // the list covers the save and the load alike.
 //
 // For each such struct, every field must either be mentioned — selected
-// through any value of the type — inside the codec bodies (methods of the
-// same type that the codecs call, like (*Processor).at or Checkpointable,
-// are followed transitively), or carry an explicit exemption on its
-// declaration line:
+// through any value of the type, read or written — inside the codec bodies,
+// or carry an explicit exemption on its declaration line:
 //
 //	//simlint:nostate <reason>
 //
@@ -28,6 +26,12 @@
 // is deliberately a weak proxy for serializing it — the pass is a drift
 // alarm, not a codec verifier; the ResumeEquivalence oracle remains the
 // ground truth for value-level correctness.
+//
+// The pass runs on the dataflow layer: its walk follows the codecs into
+// methods of the same receiver that they reference, like (*Processor).at
+// or Checkpointable, transitively, and no further. A free function or
+// another type's method that a codec calls does not cover the codec's
+// fields, since only the receiver's own methods form its field list.
 package snapstate
 
 import (
@@ -35,6 +39,7 @@ import (
 	"go/types"
 
 	"clustersim/internal/analysis"
+	"clustersim/internal/analysis/dataflow"
 )
 
 // codecPkg and codecType name the two-way codec whose pointer marks a
@@ -46,7 +51,7 @@ const (
 
 // checkpointMethods are the processor's codec wrappers, recognized by name:
 // they take an io.Writer or io.Reader rather than a codec.
-var checkpointMethods = []string{"SaveCheckpoint", "LoadCheckpoint"}
+var checkpointMethods = map[string]bool{"SaveCheckpoint": true, "LoadCheckpoint": true}
 
 // Analyzer is the snapstate pass.
 var Analyzer = &analysis.Analyzer{
@@ -57,45 +62,21 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	// Index every method declaration in the unit by receiver type.
-	methods := make(map[*types.TypeName]map[string]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			recv := receiverTypeName(pass, fd)
-			if recv == nil {
-				continue
-			}
-			if methods[recv] == nil {
-				methods[recv] = make(map[string]*ast.FuncDecl)
-			}
-			methods[recv][fd.Name.Name] = fd
+	graph := dataflow.NewGraph(pass.Info, pass.Files)
+	codecs := make(map[*types.TypeName][]*ast.FuncDecl)
+	for _, fd := range graph.Decls() {
+		recv := dataflow.Receiver(pass.Info, fd)
+		if recv != nil && (takesCodec(pass, fd) || checkpointMethods[fd.Name.Name]) {
+			codecs[recv] = append(codecs[recv], fd)
 		}
 	}
 
-	for recv, ms := range methods {
-		var roots []*ast.FuncDecl
-		for _, fd := range ms {
-			if takesCodec(pass, fd) {
-				roots = append(roots, fd)
-			}
-		}
-		for _, name := range checkpointMethods {
-			if fd, ok := ms[name]; ok {
-				roots = append(roots, fd)
-			}
-		}
-		if len(roots) == 0 {
-			continue
-		}
+	for recv, roots := range codecs {
 		st, ok := recv.Type().Underlying().(*types.Struct)
 		if !ok {
 			continue
 		}
-		covered := coverage(pass, recv, ms, roots)
+		covered := dataflow.Mentioned(pass.Info, graph.Methods(recv, roots...))
 		for i := 0; i < st.NumFields(); i++ {
 			field := st.Field(i)
 			if field.Name() == "_" || covered[field] {
@@ -113,50 +94,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// coverage walks the codec methods and, transitively, every same-receiver
-// method they call, collecting the set of recv's fields they mention.
-func coverage(pass *analysis.Pass, recv *types.TypeName, ms map[string]*ast.FuncDecl, roots []*ast.FuncDecl) map[types.Object]bool {
-	fields := make(map[types.Object]bool)
-	st := recv.Type().Underlying().(*types.Struct)
-	for i := 0; i < st.NumFields(); i++ {
-		fields[st.Field(i)] = true
-	}
-
-	covered := make(map[types.Object]bool)
-	visited := make(map[*ast.FuncDecl]bool)
-	queue := append([]*ast.FuncDecl(nil), roots...)
-	for len(queue) > 0 {
-		fd := queue[0]
-		queue = queue[1:]
-		if visited[fd] {
-			continue
-		}
-		visited[fd] = true
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if s := pass.Info.Selections[sel]; s != nil {
-				if s.Kind() == types.FieldVal && fields[s.Obj()] {
-					covered[s.Obj()] = true
-				}
-				// Follow calls to other methods of the same type so
-				// helpers like (*Processor).at contribute coverage.
-				if s.Kind() == types.MethodVal {
-					if fn, ok := s.Obj().(*types.Func); ok && receiverBase(fn) == recv {
-						if callee, ok := ms[fn.Name()]; ok && !visited[callee] {
-							queue = append(queue, callee)
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return covered
-}
-
 // takesCodec reports whether fd has a *snap.Codec parameter.
 func takesCodec(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	for _, field := range fd.Type.Params.List {
@@ -171,40 +108,4 @@ func takesCodec(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// receiverTypeName resolves a method declaration's receiver to its named
-// type, unwrapping a pointer receiver.
-func receiverTypeName(pass *analysis.Pass, fd *ast.FuncDecl) *types.TypeName {
-	if len(fd.Recv.List) != 1 {
-		return nil
-	}
-	t := pass.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return named.Obj()
-}
-
-// receiverBase returns the named-type object of fn's receiver, or nil.
-func receiverBase(fn *types.Func) *types.TypeName {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj()
-	}
-	return nil
 }

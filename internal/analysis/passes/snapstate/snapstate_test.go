@@ -8,5 +8,5 @@ import (
 )
 
 func TestSnapstate(t *testing.T) {
-	analysistest.Run(t, "testdata", snapstate.Analyzer, "snapfix")
+	analysistest.Run(t, "testdata", snapstate.Analyzer, "snapfix", "snapfollow")
 }

@@ -7,6 +7,10 @@
 // field must be mentioned inside Conserved (or a Merge/Add combiner, for
 // fields that conservation cannot constrain but merging must preserve), or
 // carry an explicit //simlint:allow statsconserve <reason> annotation.
+//
+// The pass runs on the dataflow layer but follows no call: only the bodies
+// of the covering methods count, so a field that Conserved reaches through
+// a helper method is still reported. Embedded fields are out of scope.
 package statsconserve
 
 import (
@@ -14,6 +18,7 @@ import (
 	"go/types"
 
 	"clustersim/internal/analysis"
+	"clustersim/internal/analysis/dataflow"
 )
 
 // Analyzer is the statsconserve pass.
@@ -34,129 +39,38 @@ var coveringMethods = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	// Gather the Stats struct types declared in this unit together with
-	// their method declarations.
-	type statsType struct {
-		obj     *types.TypeName
-		spec    *ast.TypeSpec
-		strct   *ast.StructType
-		methods []*ast.FuncDecl
-		hasCons bool
-	}
-	var all []*statsType
-	byObj := make(map[types.Object]*statsType)
-
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "Stats" {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				obj, ok := pass.Info.Defs[ts.Name].(*types.TypeName)
-				if !ok {
-					continue
-				}
-				s := &statsType{obj: obj, spec: ts, strct: st}
-				all = append(all, s)
-				byObj[obj] = s
-			}
-		}
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || !coveringMethods[fd.Name.Name] {
-				continue
-			}
-			recv := receiverTypeName(pass, fd)
-			if recv == nil {
-				continue
-			}
-			if s, ok := byObj[recv]; ok {
-				s.methods = append(s.methods, fd)
-				if fd.Name.Name == "Conserved" {
-					s.hasCons = true
-				}
-			}
-		}
-	}
-
-	for _, s := range all {
-		if !s.hasCons {
+	// Gather the covering methods of the unit's Stats types.
+	covering := make(map[*types.TypeName][]*ast.FuncDecl)
+	conserved := make(map[*types.TypeName]bool)
+	for _, fd := range dataflow.NewGraph(pass.Info, pass.Files).Decls() {
+		recv := dataflow.Receiver(pass.Info, fd)
+		if recv == nil || recv.Name() != "Stats" || !coveringMethods[fd.Name.Name] {
 			continue
 		}
-		covered := fieldMentions(pass, s.methods)
-		for _, field := range s.strct.Fields.List {
-			for _, name := range field.Names {
-				if name.Name == "_" {
-					continue
-				}
-				obj := pass.Info.Defs[name]
-				if obj == nil || !isNumeric(obj.Type()) {
-					continue
-				}
-				if covered[obj] {
-					continue
-				}
-				pass.Reportf(name.Pos(),
-					"numeric field %s.%s is missing from the Conserved/Merge identities; "+
-						"add it to a conservation check or annotate //simlint:allow statsconserve <reason>",
-					s.obj.Name(), name.Name)
+		covering[recv] = append(covering[recv], fd)
+		if fd.Name.Name == "Conserved" {
+			conserved[recv] = true
+		}
+	}
+
+	for recv := range conserved {
+		st, ok := recv.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		covered := dataflow.Mentioned(pass.Info, covering[recv])
+		for i := 0; i < st.NumFields(); i++ {
+			field := st.Field(i)
+			if field.Embedded() || field.Name() == "_" || !isNumeric(field.Type()) || covered[field] {
+				continue
 			}
+			pass.Reportf(field.Pos(),
+				"numeric field %s.%s is missing from the Conserved/Merge identities; "+
+					"add it to a conservation check or annotate //simlint:allow statsconserve <reason>",
+				recv.Name(), field.Name())
 		}
 	}
 	return nil
-}
-
-// receiverTypeName resolves a method's receiver to its named type.
-func receiverTypeName(pass *analysis.Pass, fd *ast.FuncDecl) *types.TypeName {
-	if len(fd.Recv.List) != 1 {
-		return nil
-	}
-	t := pass.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	return named.Obj()
-}
-
-// fieldMentions collects every struct-field object selected anywhere in
-// the given method bodies (receiver, parameters like prev, locals — any
-// value of the type counts).
-func fieldMentions(pass *analysis.Pass, methods []*ast.FuncDecl) map[types.Object]bool {
-	covered := make(map[types.Object]bool)
-	for _, m := range methods {
-		ast.Inspect(m.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if s := pass.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				covered[s.Obj()] = true
-			}
-			return true
-		})
-	}
-	return covered
 }
 
 func isNumeric(t types.Type) bool {

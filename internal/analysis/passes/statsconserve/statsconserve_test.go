@@ -8,5 +8,5 @@ import (
 )
 
 func TestStatsConserve(t *testing.T) {
-	analysistest.Run(t, "testdata", statsconserve.Analyzer, "stats", "nostats")
+	analysistest.Run(t, "testdata", statsconserve.Analyzer, "stats", "nostats", "statsfollow")
 }

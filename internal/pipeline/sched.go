@@ -583,4 +583,3 @@ func heapPopWake(h *[]schedWake) schedWake {
 	*h = s
 	return top
 }
-

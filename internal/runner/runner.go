@@ -232,9 +232,9 @@ func (e *SweepError) Error() string {
 	return b.String()
 }
 
-// Stats summarizes the runner's lifetime work plus a live view of the pool.
-// It is safe to call Stats concurrently with RunAll, so a monitoring
-// goroutine (or a served /metrics endpoint) can watch a sweep in flight.
+// Stats summarizes the runner's lifetime work. It is safe to call Stats
+// concurrently with RunAll; the live pool gauges (runs in flight, queue
+// depth, utilization) are the attached Meter's.
 type Stats struct {
 	// Runs counts actual simulator executions.
 	Runs int
@@ -247,14 +247,6 @@ type Stats struct {
 	// PersistSkipped counts persisted-result entries LoadPersisted found
 	// but could not use: foreign names, unreadable files, undecodable JSON.
 	PersistSkipped int
-
-	// Inflight and QueueDepth are live gauges: runs currently executing on
-	// workers, and admitted requests still waiting for one.
-	Inflight   int
-	QueueDepth int
-	// Utilization is the pool's busy fraction since the current batch
-	// started (0 without an attached Meter).
-	Utilization float64
 }
 
 // Runner executes request batches. The zero value is ready to use; a Runner
@@ -300,11 +292,6 @@ type Runner struct {
 	stats   Stats
 	agg     obs.Snapshot
 	aggRuns int
-
-	// Live pool gauges, kept independently of Meter so Stats is meaningful
-	// on an uninstrumented runner too.
-	inflight atomic.Int64
-	queued   atomic.Int64
 }
 
 // New returns a Runner with the given pool width (<= 0 selects GOMAXPROCS).
@@ -317,16 +304,12 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Stats returns the runner's lifetime execution counts and live pool gauges.
-// Safe to call concurrently with RunAll.
+// Stats returns the runner's lifetime execution counts. Safe to call
+// concurrently with RunAll.
 func (r *Runner) Stats() Stats {
 	r.mu.Lock()
-	s := r.stats
-	r.mu.Unlock()
-	s.Inflight = int(r.inflight.Load())
-	s.QueueDepth = int(r.queued.Load())
-	s.Utilization = r.Meter.Utilization()
-	return s
+	defer r.mu.Unlock()
+	return r.stats
 }
 
 // AggregateSnapshot returns the merged metrics snapshot of every observed
@@ -413,7 +396,6 @@ func (r *Runner) RunAll(reqs []Request) ([]pipeline.Result, error) {
 	}
 	r.Meter.SpanSince(telemetry.SpanCacheLookup, lookupCur)
 	r.Meter.Enqueued(len(todo))
-	r.queued.Add(int64(len(todo)))
 
 	pool(r.workers(), len(todo), func(k int) {
 		i := todo[k]
@@ -450,15 +432,11 @@ func (r *Runner) retryDelay(attempt int) time.Duration {
 }
 
 // execute runs one request on the calling worker: it brackets the attempt
-// loop with the live pool gauges and the meter's run lifecycle (queue-wait
-// and execute spans, run_done progress event), then delegates to
-// executeAttempts.
+// loop with the meter's run lifecycle (live gauges, queue-wait and execute
+// spans, run_done progress event), then delegates to executeAttempts.
 func (r *Runner) execute(q *Request, key uint64) (pipeline.Result, *RunError) {
-	r.queued.Add(-1)
-	r.inflight.Add(1)
 	start := r.Meter.RunStart()
 	res, rerr := r.executeAttempts(q, key)
-	r.inflight.Add(-1)
 	r.Meter.RunDone(q.ID, q.Bench, q.policy(), start, rerr == nil)
 	return res, rerr
 }

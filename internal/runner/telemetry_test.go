@@ -12,10 +12,11 @@ import (
 	"clustersim/internal/telemetry"
 )
 
-// TestStatsConcurrentWithRunAll hammers Stats() from several goroutines
-// while a batch runs. Under -race this proves the live gauges (inflight,
-// queue depth, utilization) and the lifetime counters can be read during a
-// sweep — the monitoring path a served /metrics endpoint uses.
+// TestStatsConcurrentWithRunAll hammers Stats() and the meter's live
+// gauges from several goroutines while a batch runs. Under -race this
+// proves the lifetime counters and the gauges (inflight, queue depth,
+// utilization) can be read during a sweep — the monitoring path a served
+// /metrics endpoint uses.
 func TestStatsConcurrentWithRunAll(t *testing.T) {
 	r := New(4)
 	r.Meter = telemetry.NewSweepMeter(obs.NewRegistry(), nil)
@@ -41,12 +42,16 @@ func TestStatsConcurrentWithRunAll(t *testing.T) {
 				default:
 				}
 				s := r.Stats()
-				if s.Inflight < 0 || s.QueueDepth < 0 {
+				if s.Runs < 0 || s.Runs > len(reqs) || s.Failures != 0 {
+					t.Errorf("lifetime counters out of range: %+v", s)
+					return
+				}
+				if r.Meter.Inflight() < 0 || r.Meter.QueueDepth() < 0 {
 					t.Error("negative live gauge")
 					return
 				}
-				if s.Utilization < 0 || s.Utilization > 1 {
-					t.Errorf("utilization %v out of [0,1]", s.Utilization)
+				if u := r.Meter.Utilization(); u < 0 || u > 1 {
+					t.Errorf("utilization %v out of [0,1]", u)
 					return
 				}
 			}
@@ -63,8 +68,8 @@ func TestStatsConcurrentWithRunAll(t *testing.T) {
 	if s.Runs != len(reqs) {
 		t.Fatalf("Runs = %d, want %d", s.Runs, len(reqs))
 	}
-	if s.Inflight != 0 || s.QueueDepth != 0 {
-		t.Fatalf("pool did not settle: %+v", s)
+	if r.Meter.Inflight() != 0 || r.Meter.QueueDepth() != 0 {
+		t.Fatalf("pool did not settle: inflight %d, queued %d", r.Meter.Inflight(), r.Meter.QueueDepth())
 	}
 }
 

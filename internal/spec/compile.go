@@ -61,33 +61,12 @@ func expandPhases(phases []Phase, seed uint64) []engine.Phase {
 	return out
 }
 
-// kernel converts the profile to the exported engine kernel with the
-// sampled chain count substituted.
+// kernel converts the profile to the engine kernel with the sampled chain
+// count substituted.
 func (p *Profile) kernel(chains int) engine.Kernel {
-	return engine.Kernel{
-		Chains:         chains,
-		FP:             p.FP,
-		LoadFrac:       p.LoadFrac,
-		StoreFrac:      p.StoreFrac,
-		BranchFrac:     p.BranchFrac,
-		MultFrac:       p.MultFrac,
-		CrossFrac:      p.CrossFrac,
-		FreshFrac:      p.FreshFrac,
-		LoopBody:       p.LoopBody,
-		LoopIters:      p.LoopIters,
-		IterJitter:     p.IterJitter,
-		RandBranchFrac: p.RandBranchFrac,
-		RandTakenProb:  p.RandTakenProb,
-		Stride:         p.Stride,
-		Footprint:      p.Footprint,
-		RandomAddr:     p.RandomAddr,
-		Chase:          p.Chase,
-		AddrDepFrac:    p.AddrDepFrac,
-		ReuseFrac:      p.ReuseFrac,
-		StaticBlocks:   p.StaticBlocks,
-		CallEvery:      p.CallEvery,
-		Funcs:          p.Funcs,
-	}
+	k := p.Kernel
+	k.Chains = chains
+	return k
 }
 
 // MixThread is one compiled thread of a mix spec, ready for smt.New via

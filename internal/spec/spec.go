@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+
+	"clustersim/internal/workload/engine"
 )
 
 // Version is the spec format version this package reads and writes.
@@ -75,33 +77,13 @@ type Phase struct {
 	Profile Profile `json:"profile"`
 }
 
-// Profile mirrors engine.Kernel field for field (see that type for
-// semantics), with Chains distribution-valued: the chain count is the
-// program's mean dependence distance, so a distribution here varies the
-// dependence structure across repeat instances.
+// Profile is an engine.Kernel (see that type for semantics and JSON names)
+// with Chains distribution-valued: the chain count is the program's mean
+// dependence distance, so a distribution here varies the dependence
+// structure across repeat instances.
 type Profile struct {
-	Chains         Dist    `json:"chains"`
-	FP             bool    `json:"fp,omitempty"`
-	LoadFrac       float64 `json:"load_frac,omitempty"`
-	StoreFrac      float64 `json:"store_frac,omitempty"`
-	BranchFrac     float64 `json:"branch_frac,omitempty"`
-	MultFrac       float64 `json:"mult_frac,omitempty"`
-	CrossFrac      float64 `json:"cross_frac,omitempty"`
-	FreshFrac      float64 `json:"fresh_frac,omitempty"`
-	LoopBody       int     `json:"loop_body,omitempty"`
-	LoopIters      int     `json:"loop_iters,omitempty"`
-	IterJitter     int     `json:"iter_jitter,omitempty"`
-	RandBranchFrac float64 `json:"rand_branch_frac,omitempty"`
-	RandTakenProb  float64 `json:"rand_taken_prob,omitempty"`
-	Stride         int64   `json:"stride,omitempty"`
-	Footprint      int64   `json:"footprint,omitempty"`
-	RandomAddr     bool    `json:"random_addr,omitempty"`
-	Chase          bool    `json:"chase,omitempty"`
-	AddrDepFrac    float64 `json:"addr_dep_frac,omitempty"`
-	ReuseFrac      float64 `json:"reuse_frac,omitempty"`
-	StaticBlocks   int     `json:"static_blocks,omitempty"`
-	CallEvery      int     `json:"call_every,omitempty"`
-	Funcs          int     `json:"funcs,omitempty"`
+	Chains Dist `json:"chains"`
+	engine.Kernel
 }
 
 // MixEntry is one thread of a multi-programmed workload: either a built-in

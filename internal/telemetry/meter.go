@@ -232,7 +232,7 @@ func (m *SweepMeter) BatchDone() {
 	})
 }
 
-// Inflight and QueueDepth expose the live gauges to the runner's Stats.
+// Inflight returns the number of runs executing on workers.
 func (m *SweepMeter) Inflight() int {
 	if m == nil {
 		return 0

@@ -509,3 +509,28 @@ func TestRecorderTee(t *testing.T) {
 		t.Fatalf("Reset kept %d recorded instructions", rec.Recorded())
 	}
 }
+
+// nextCounter is a generator that only counts its draws.
+type nextCounter struct{ draws int }
+
+func (g *nextCounter) Name() string             { return "counter" }
+func (g *nextCounter) Next(in *isa.Instruction) { g.draws++ }
+func (g *nextCounter) Reset()                   {}
+
+// TestRecordFileRejectsHugeCount: a count the header check would reject on
+// load fails up front, naming the limit, without drawing an instruction
+// or creating the file.
+func TestRecordFileRejectsHugeCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.ctrace")
+	gen := &nextCounter{}
+	_, err := RecordFile(path, gen, maxCount+1, Meta{Name: "counter", SourceKind: SourceCustom})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxCount)) {
+		t.Fatalf("RecordFile(maxCount+1) = %v, want an error naming the limit %d", err, maxCount)
+	}
+	if gen.draws != 0 {
+		t.Fatalf("RecordFile drew %d instructions before refusing", gen.draws)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("RecordFile left a file behind: %v", err)
+	}
+}
