@@ -4,17 +4,18 @@
 //
 // Three families are provided, matching §4:
 //
-//   - IntervalExplore (§4.2, Figure 4): at each detected phase change, run
+//   - Explore (§4.2, Figure 4): at each detected phase change, run
 //     every candidate configuration for one interval, pick the best IPC,
 //     and keep it until the phase changes; the interval length itself
 //     adapts (doubling while measurements are unstable).
-//   - IntervalDistantILP (§4.3): no exploration — run the full-width
+//   - DistantILP (§4.3): no exploration — run the full-width
 //     machine for one interval, measure the degree of distant ILP, and
 //     choose directly between a narrow and the widest configuration.
 //   - FineGrain (§4.4): reconfigure at basic-block boundaries using a
 //     PC-indexed reconfiguration table trained by the distant-ILP content
-//     of the 360 committed instructions following each branch; a variant
-//     triggers only at subroutine calls and returns.
+//     of the 360 committed instructions following each branch; with
+//     FineGrainConfig.CallReturnOnly it triggers only at subroutine calls
+//     and returns.
 //
 // All controllers implement pipeline.Controller and observe only committed-
 // instruction events — the same information the paper's hardware event

@@ -227,10 +227,6 @@ func Counterfactual(o Options) (*Table, error) {
 	// alternative's re-simulation: cacheable, so these cells are shared
 	// with the policy experiment.
 	benches := o.benchmarks()
-	baseFP, err := base.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
 	traces := make([]*policy.DecisionTrace, len(benches))
 	reqs := make([]runner.Request, len(benches), len(benches)*(1+len(alts)))
 	for bi, b := range benches {
@@ -238,8 +234,7 @@ func Counterfactual(o Options) (*Table, error) {
 		if berr != nil {
 			return nil, berr
 		}
-		traces[bi] = &policy.DecisionTrace{Bench: b, Seed: o.seed(), Window: o.Window(b),
-			Policy: baseLabel[0], PolicyFP: baseFP, ConfigFP: cfg.Fingerprint()}
+		traces[bi] = &policy.DecisionTrace{Policy: baseLabel[0]}
 		req := o.request("cf-record", b, cfg, o.Window(b))
 		req.Controller = policy.NewRecorder(inner, traces[bi])
 		reqs[bi] = req

@@ -165,7 +165,6 @@ func (s Stats) Conserved(prev Stats, diameter int) error {
 type Ring struct {
 	n      int    //simlint:nostate geometry, rebuilt by the constructor
 	hopLat uint64 //simlint:nostate geometry, rebuilt by the constructor
-	free   bool   //simlint:nostate ablation switch, part of configuration; if true, transfers are instantaneous
 	cw     []Calendar
 	ccw    []Calendar
 	stats  Stats
@@ -196,11 +195,6 @@ func MustNewRing(n int, hopLatency int) *Ring {
 	}
 	return r
 }
-
-// SetFree switches the ring into an idealized zero-cost mode used by the
-// paper's in-text ablations ("assuming zero inter-cluster communication
-// cost").
-func (r *Ring) SetFree(free bool) { r.free = free }
 
 // Clusters returns the number of nodes.
 func (r *Ring) Clusters() int { return r.n }
@@ -233,9 +227,6 @@ func (r *Ring) cwDist(a, b int) int {
 // Send implements Network.
 func (r *Ring) Send(ready uint64, a, b int) uint64 {
 	if a == b {
-		return ready
-	}
-	if r.free {
 		return ready
 	}
 	cw := r.cwDist(a, b)
@@ -284,9 +275,6 @@ func (r *Ring) traverse(ready uint64, a, hops int, clockwise bool) uint64 {
 // which is how a ring broadcast is physically realized.
 func (r *Ring) Broadcast(ready uint64, a, active int) uint64 {
 	if active <= 1 {
-		return ready
-	}
-	if r.free {
 		return ready
 	}
 	// Distances to every active node; the worst clockwise and worst
@@ -348,7 +336,6 @@ type Grid struct {
 	n      int    //simlint:nostate geometry, rebuilt by the constructor
 	w, h   int    //simlint:nostate geometry, rebuilt by the constructor
 	hopLat uint64 //simlint:nostate geometry, rebuilt by the constructor
-	free   bool   //simlint:nostate ablation switch, part of configuration
 	// Link calendars, indexed by node*4+direction, directions being
 	// 0=east, 1=west, 2=south, 3=north.
 	links []Calendar
@@ -389,9 +376,6 @@ func MustNewGrid(n int, hopLatency int) *Grid {
 	return g
 }
 
-// SetFree switches the grid into idealized zero-cost mode.
-func (g *Grid) SetFree(free bool) { g.free = free }
-
 // Clusters returns the number of nodes.
 func (g *Grid) Clusters() int { return g.n }
 
@@ -417,7 +401,7 @@ func (g *Grid) Hops(a, b int) int {
 // Send implements Network using XY routing: all horizontal hops first, then
 // vertical.
 func (g *Grid) Send(ready uint64, a, b int) uint64 {
-	if a == b || g.free {
+	if a == b {
 		return ready
 	}
 	arrive := g.route(ready, a, b)
@@ -465,7 +449,7 @@ func (g *Grid) hop(t uint64, node, dir int) uint64 {
 // cheap hardware broadcast; the paper models broadcasts as added traffic,
 // which unicasting reproduces conservatively).
 func (g *Grid) Broadcast(ready uint64, a, active int) uint64 {
-	if active <= 1 || g.free {
+	if active <= 1 {
 		return ready
 	}
 	last := ready

@@ -175,22 +175,6 @@ func TestBroadcastCoversActivePrefix(t *testing.T) {
 	}
 }
 
-func TestFreeMode(t *testing.T) {
-	r := MustNewRing(16, 1)
-	r.SetFree(true)
-	if r.Send(42, 0, 8) != 42 {
-		t.Fatal("free ring not free")
-	}
-	if r.Broadcast(42, 0, 16) != 42 {
-		t.Fatal("free ring broadcast not free")
-	}
-	g := MustNewGrid(16, 1)
-	g.SetFree(true)
-	if g.Send(42, 0, 15) != 42 {
-		t.Fatal("free grid not free")
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	r := MustNewRing(16, 1)
 	r.Send(0, 0, 4)
@@ -326,14 +310,6 @@ func TestRingBroadcastFromMiddleOfPrefix(t *testing.T) {
 	s := r.Stats()
 	if s.Transfers != 2 { // one leg per direction
 		t.Fatalf("broadcast transfers %d", s.Transfers)
-	}
-}
-
-func TestGridFreeBroadcast(t *testing.T) {
-	g := MustNewGrid(16, 1)
-	g.SetFree(true)
-	if g.Broadcast(42, 3, 16) != 42 {
-		t.Fatal("free grid broadcast not free")
 	}
 }
 

@@ -4,8 +4,8 @@ import "clustersim/internal/snap"
 
 // Checkpoint support: a network's dynamic state is its link calendars (the
 // in-flight reservation horizon) and its cumulative statistics. Geometry
-// (node count, hop latency, free mode) is configuration and is rebuilt by
-// the constructor, so a load only verifies that calendar shapes match.
+// (node count, hop latency) is configuration and is rebuilt by the
+// constructor, so a load only verifies that calendar shapes match.
 
 func (s *Stats) state(c *snap.Codec) {
 	c.U64(&s.Transfers)

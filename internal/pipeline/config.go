@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"clustersim/internal/bpred"
 	"clustersim/internal/mem"
 	"clustersim/internal/obs"
 	"clustersim/internal/telemetry"
@@ -128,19 +127,6 @@ type Config struct {
 	// the capacity of four clusters).
 	DistantDepth int
 
-	// CritTable selects the trained PC-indexed criticality table for
-	// steering instead of the default last-arriving heuristic (see
-	// crit.go).
-	CritTable bool
-
-	// ICacheEnabled models the Table 1 L1 instruction cache (32KB,
-	// 2-way): a fetch that crosses into an uncached line stalls the
-	// front end for the fill. TLBEnabled models the Table 1 data TLB
-	// (128 entries, 8KB pages): a memory access to an unmapped page
-	// pays a page walk. Both are on in DefaultConfig.
-	ICacheEnabled bool
-	TLBEnabled    bool
-
 	// Ablation switches for the paper's in-text idealizations.
 	// FreeRegComm makes register forwarding between clusters free.
 	FreeRegComm bool
@@ -149,10 +135,6 @@ type Config struct {
 	// PerfectBankPred steers memory operations with oracle bank
 	// knowledge (decentralized).
 	PerfectBankPred bool
-
-	// BranchPred and BankPred override predictor table sizes.
-	BranchPred *bpred.Config
-	BankPred   *bpred.BankConfig
 
 	// LegacyStepper selects the seed per-cycle scan stepper (full IQ scan
 	// every cycle, no stall fast-forward) instead of the event-driven
@@ -217,8 +199,6 @@ func DefaultConfig() Config {
 		ImbalanceThreshold: 8,
 		ModN:               4,
 		DistantDepth:       120,
-		ICacheEnabled:      true,
-		TLBEnabled:         true,
 	}
 }
 
@@ -354,22 +334,9 @@ func (c Config) Fingerprint() uint64 {
 	fold(uint64(c.ImbalanceThreshold))
 	fold(uint64(c.ModN))
 	fold(uint64(c.DistantDepth))
-	foldBool(c.CritTable)
-	foldBool(c.ICacheEnabled)
-	foldBool(c.TLBEnabled)
 	foldBool(c.FreeRegComm)
 	foldBool(c.FreeLoadComm)
 	foldBool(c.PerfectBankPred)
-	if c.BranchPred != nil {
-		foldSub(fmt.Sprintf("%+v", *c.BranchPred), true)
-	} else {
-		foldSub("", false)
-	}
-	if c.BankPred != nil {
-		foldSub(fmt.Sprintf("%+v", *c.BankPred), true)
-	} else {
-		foldSub("", false)
-	}
 	fold(c.WatchdogCycles)
 	return h.Sum64()
 }

@@ -466,23 +466,6 @@ func TestICacheAndTLBDefaultsOn(t *testing.T) {
 	}
 }
 
-func TestICacheAndTLBCanBeDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.ICacheEnabled = false
-	cfg.TLBEnabled = false
-	p := MustNew(cfg, workload.MustNew("gzip", 1), nil)
-	r := mustRun(t, p, 20_000)
-	if r.ICacheMisses != 0 || r.TLBMisses != 0 {
-		t.Fatalf("disabled structures recorded misses: %d / %d", r.ICacheMisses, r.TLBMisses)
-	}
-	// Disabling the front-end/TLB overheads can only help.
-	p2 := MustNew(testConfig(), workload.MustNew("gzip", 1), nil)
-	r2 := mustRun(t, p2, 20_000)
-	if r.IPC() < r2.IPC()*0.98 {
-		t.Fatalf("disabling icache/TLB slowed the machine: %.3f vs %.3f", r.IPC(), r2.IPC())
-	}
-}
-
 // wildController returns out-of-range requests to exercise clamping.
 type wildController struct{ n uint64 }
 

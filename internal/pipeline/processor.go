@@ -71,8 +71,6 @@ type Processor struct {
 
 	modNCluster, modNCount int
 
-	crit *critPredictor
-
 	icache          *mem.ICache
 	dtlb            *mem.TLB
 	fetchStallUntil uint64
@@ -151,20 +149,13 @@ func New(cfg Config, gen workload.Generator, ctrl Controller) (*Processor, error
 		}
 	}
 
-	bcfg := bpred.DefaultConfig()
-	if cfg.BranchPred != nil {
-		bcfg = *cfg.BranchPred
-	}
-	p.bp, err = bpred.New(bcfg)
+	p.bp, err = bpred.New(bpred.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Cache == DecentralizedCache {
 		kcfg := bpred.DefaultBankConfig()
 		kcfg.MaxBanks = cfg.Clusters
-		if cfg.BankPred != nil {
-			kcfg = *cfg.BankPred
-		}
 		p.bankp, err = bpred.NewBank(kcfg)
 		if err != nil {
 			return nil, err
@@ -212,16 +203,9 @@ func New(cfg Config, gen workload.Generator, ctrl Controller) (*Processor, error
 	}
 	p.active = cfg.ActiveClusters
 	p.fetchBlockedSeq = unknown
-	if cfg.CritTable {
-		p.crit = newCritPredictor()
-	}
-	if cfg.ICacheEnabled {
-		p.icache = mem.NewICache(mem.DefaultICacheConfig())
-		p.lastFetchLine = ^uint64(0)
-	}
-	if cfg.TLBEnabled {
-		p.dtlb = mem.NewTLB(mem.DefaultTLBConfig())
-	}
+	p.icache = mem.NewICache(mem.DefaultICacheConfig())
+	p.lastFetchLine = ^uint64(0)
+	p.dtlb = mem.NewTLB(mem.DefaultTLBConfig())
 	if ctrl != nil {
 		ctrl.Reset(cfg.Clusters)
 	}
@@ -300,20 +284,7 @@ func (p *Processor) deadlockError() *DeadlockError {
 // surfaces as a *DeadlockError (with the statistics accumulated so far); an
 // externally raised stop flag surfaces as a *StoppedError.
 func (p *Processor) Run(n uint64) (Result, error) {
-	target := p.committed + n
-	limit := p.watchdogLimit()
-	ff := p.canFastForward()
-	for p.committed < target {
-		p.step()
-		jumped := ff && !p.progress && p.fastForward(0, limit)
-		if p.cycle-p.lastCommitCycle > limit {
-			return p.Stats(), p.deadlockError()
-		}
-		if p.stop != nil && (jumped || p.cycle&stopCheckMask == 0) && p.stop.Load() {
-			return p.Stats(), &StoppedError{Cycle: p.cycle, Committed: p.committed}
-		}
-	}
-	return p.Stats(), nil
+	return p.run(p.committed+n, ^uint64(0))
 }
 
 // RunCycles simulates exactly n more cycles (regardless of commits) and
@@ -321,12 +292,18 @@ func (p *Processor) Run(n uint64) (Result, error) {
 // co-scheduled machines in lockstep time slices. Deadlock and external stops
 // are reported like Run's.
 func (p *Processor) RunCycles(n uint64) (Result, error) {
-	target := p.cycle + n
+	return p.run(^uint64(0), p.cycle+n)
+}
+
+// run steps until commitTarget instructions have committed or the clock
+// reaches cycleTarget, whichever comes first; ^uint64(0) leaves a target
+// unbounded.
+func (p *Processor) run(commitTarget, cycleTarget uint64) (Result, error) {
 	limit := p.watchdogLimit()
 	ff := p.canFastForward()
-	for p.cycle < target {
+	for p.committed < commitTarget && p.cycle < cycleTarget {
 		p.step()
-		jumped := ff && !p.progress && p.fastForward(target, limit)
+		jumped := ff && !p.progress && p.fastForward(cycleTarget, limit)
 		if p.cycle-p.lastCommitCycle > limit {
 			return p.Stats(), p.deadlockError()
 		}
@@ -337,7 +314,7 @@ func (p *Processor) RunCycles(n uint64) (Result, error) {
 	return p.Stats(), nil
 }
 
-// canFastForward reports whether the run loops may jump over idle cycles:
+// canFastForward reports whether the run loop may jump over idle cycles:
 // only the event stepper tracks the wakeup calendar the jump needs, and an
 // attached checker must observe every cycle.
 func (p *Processor) canFastForward() bool {
@@ -417,12 +394,8 @@ func (p *Processor) Stats() Result {
 	if p.bankp != nil {
 		r.Bank = p.bankp.Stats()
 	}
-	if p.icache != nil {
-		r.ICacheMisses = p.icache.Misses()
-	}
-	if p.dtlb != nil {
-		r.TLBMisses = p.dtlb.Misses()
-	}
+	r.ICacheMisses = p.icache.Misses()
+	r.TLBMisses = p.dtlb.Misses()
 	if p.obs != nil && p.obs.Registry != nil {
 		p.syncObsCounters()
 	}
@@ -475,11 +448,7 @@ func (p *Processor) commitStage() {
 				p.lsqDelta(int(u.cluster), -1)
 			}
 			if u.isStore() {
-				at := now
-				if p.dtlb != nil {
-					at += p.dtlb.Translate(u.in.Addr)
-				}
-				p.memsys.StoreCommit(at, int(u.cluster), u.in.Addr)
+				p.memsys.StoreCommit(now+p.dtlb.Translate(u.in.Addr), int(u.cluster), u.in.Addr)
 				p.popStore(u.seq)
 			}
 		}
@@ -722,7 +691,6 @@ func (p *Processor) tryIssueV(cs *clusterState, u *uop, now uint64) (v issueVerd
 	p.progress = true
 	u.issued = true
 	u.issueAt = now
-	p.trainCriticality(u)
 	if u.seq-p.headSeq >= uint64(p.cfg.DistantDepth) {
 		u.distant = true
 		p.stats.DistantIssued++
@@ -883,9 +851,7 @@ func (p *Processor) tryStartLoad(u *uop, now uint64) bool {
 	if u.agenDoneAt > start {
 		start = u.agenDoneAt
 	}
-	if p.dtlb != nil {
-		start += p.dtlb.Translate(u.in.Addr)
-	}
+	start += p.dtlb.Translate(u.in.Addr)
 	done, _ := p.memsys.Load(start, int(u.cluster), u.in.Addr)
 	u.doneAt = done
 	u.memDone = true
@@ -1025,13 +991,11 @@ func (p *Processor) fetchStage() {
 		// the front end while the line fills (the fetched instruction
 		// still enters the queue, delayed by the fill).
 		extra := uint64(0)
-		if p.icache != nil {
-			if line := in.PC >> p.icache.LineShift(); line != p.lastFetchLine {
-				p.lastFetchLine = line
-				extra = p.icache.Fetch(in.PC)
-				if extra > 0 {
-					p.fetchStallUntil = now + extra
-				}
+		if line := in.PC >> p.icache.LineShift(); line != p.lastFetchLine {
+			p.lastFetchLine = line
+			extra = p.icache.Fetch(in.PC)
+			if extra > 0 {
+				p.fetchStallUntil = now + extra
 			}
 		}
 

@@ -222,10 +222,10 @@ func (p *Processor) wakeChain(prod *uop, prodKey uint64, ag *[]uint64, lo int) {
 
 // ------------------------------------------------------- fast-forward --
 
-// fastForward, called by the run loops after a cycle in which no stage made
+// fastForward, called by the run loop after a cycle in which no stage made
 // progress, jumps the machine to just before the next interesting cycle.
-// It returns whether a jump happened. cycleTarget, when nonzero, is
-// RunCycles' absolute cycle bound; limit is the watchdog budget. ActiveSum
+// It returns whether a jump happened. cycleTarget is the run's absolute
+// cycle bound (^uint64(0) for none); limit is the watchdog budget. ActiveSum
 // is the only per-cycle accumulator, so it is the only statistic that needs
 // explicit accounting across the jump.
 func (p *Processor) fastForward(cycleTarget, limit uint64) bool {
@@ -236,7 +236,7 @@ func (p *Processor) fastForward(cycleTarget, limit uint64) bool {
 	if wd := p.lastCommitCycle + limit + 1; next > wd {
 		next = wd
 	}
-	if cycleTarget != 0 && next > cycleTarget {
+	if next > cycleTarget {
 		next = cycleTarget
 	}
 	if next <= now+1 {

@@ -45,10 +45,11 @@ func stallGen(t testing.TB) workload.Generator {
 	return gen
 }
 
-// TestStepperEquivalenceRunCycles: RunCycles must land both steppers on the
-// identical cycle with identical cumulative Results at every slice boundary,
-// including odd lengths that force fast-forward to clamp a jump against the
-// cycle target mid-stall.
+// TestStepperEquivalenceRunCycles: RunCycles must land both steppers on
+// exactly n more cycles with identical cumulative Results at every slice
+// boundary, including an empty first slice on a fresh machine and odd
+// lengths that force fast-forward to clamp a jump against the cycle target
+// mid-stall.
 func TestStepperEquivalenceRunCycles(t *testing.T) {
 	for _, bench := range []string{"gzip", "swim", "parser"} {
 		run := func(legacy bool) []Result {
@@ -56,10 +57,14 @@ func TestStepperEquivalenceRunCycles(t *testing.T) {
 			cfg.LegacyStepper = legacy
 			p := MustNew(cfg, workload.MustNew(bench, 1), nil)
 			var out []Result
-			for _, n := range []uint64{1_000, 997, 3, 2_048, 5_001} {
+			for _, n := range []uint64{0, 1_000, 997, 3, 2_048, 5_001} {
+				before := p.Cycle()
 				res, err := p.RunCycles(n)
 				if err != nil {
 					t.Fatalf("%s RunCycles(%d): %v", bench, n, err)
+				}
+				if res.Cycles != before+n {
+					t.Fatalf("%s RunCycles(%d) from cycle %d stopped at %d", bench, n, before, res.Cycles)
 				}
 				out = append(out, res)
 			}

@@ -33,7 +33,7 @@ const (
 	snapMagic = "CSIM-SNAP"
 	// snapVersion is the snapshot layout version; bump on any layout
 	// change.
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // Checkpointable reports whether the processor's state can round-trip
@@ -212,15 +212,8 @@ func (p *Processor) checkpoint(c *snap.Codec) {
 	}
 
 	c.Mark("components")
-	if c.Present(p.crit != nil, "criticality table") {
-		c.FixedU8s(p.crit.table, "criticality table")
-	}
-	if c.Present(p.icache != nil, "icache") {
-		p.icache.State(c)
-	}
-	if c.Present(p.dtlb != nil, "dtlb") {
-		p.dtlb.State(c)
-	}
+	p.icache.State(c)
+	p.dtlb.State(c)
 	p.net.(snap.Stater).State(c)
 	p.memsys.(snap.Stater).State(c)
 	p.bp.State(c)

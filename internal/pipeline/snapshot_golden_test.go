@@ -36,14 +36,8 @@ func distCache() pipeline.Config {
 	return c
 }
 
-func critTable() pipeline.Config {
+func gridTopology() pipeline.Config {
 	c := pipeline.DefaultConfig()
-	c.CritTable = true
-	return c
-}
-
-func gridCrit() pipeline.Config {
-	c := critTable()
 	c.Topology = pipeline.GridTopology
 	return c
 }
@@ -56,14 +50,13 @@ func fineGrain() pipeline.Controller { return core.NewFineGrain(core.FineGrainCo
 
 // goldenMachines are the five machines whose snapshot bytes the golden pins:
 // both static organizations of Fig 3's centralized machine, and one dynamic
-// controller of each family, spread over both caches, both topologies and
-// the criticality table.
+// controller of each family, spread over both caches and both topologies.
 var goldenMachines = []snapMachine{
 	{"static-16", pipeline.DefaultConfig, nil},
 	{"static-4", withActive(4), nil},
 	{"explore", pipeline.DefaultConfig, explore},
 	{"dilp-1k-dist", distCache, dilp1K},
-	{"fine-grain-grid-crit", gridCrit, fineGrain},
+	{"fine-grain-grid", gridTopology, fineGrain},
 }
 
 // TestSnapshotGolden pins the snapshot format byte for byte: the length and

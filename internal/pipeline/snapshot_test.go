@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,18 +133,15 @@ func TestSnapshotResumeEquivalenceVariants(t *testing.T) {
 // TestSnapshotResumeEquivalenceShapes restores the machine shapes the
 // tests above leave out: the decentralized cache under each dynamic
 // controller family (drain, flush, active banks and the bank predictor in
-// flight), and the criticality table on a static and a dynamic machine.
-// Each run is checkpointed at four interior points, and every snapshot
-// resumes in a fresh machine that must finish with the uninterrupted run's
-// Result.
+// flight). Each run is checkpointed at four interior points, and every
+// snapshot resumes in a fresh machine that must finish with the
+// uninterrupted run's Result.
 func TestSnapshotResumeEquivalenceShapes(t *testing.T) {
 	const window = 60_000
 	shapes := []snapMachine{
 		{"dist-explore", distCache, explore},
 		{"dist-dilp-1k", distCache, dilp1K},
 		{"dist-fine-grain", distCache, fineGrain},
-		{"crit-static", critTable, nil},
-		{"crit-explore", critTable, explore},
 	}
 	for _, bench := range []string{"gzip", "parser", "swim", "galgel", "cjpeg"} {
 		for _, m := range shapes {
@@ -173,8 +171,9 @@ func TestSnapshotResumeEquivalenceShapes(t *testing.T) {
 }
 
 // TestSnapshotIdentityChecks: a snapshot must refuse to restore into a
-// machine built from a different configuration, benchmark or policy, and
-// must reject corrupt or truncated bytes with an error, never a panic.
+// machine built from a different configuration, benchmark or policy, must
+// name both versions when its format version is another build's, and must
+// reject corrupt or truncated bytes with an error, never a panic.
 func TestSnapshotIdentityChecks(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	p := buildFor(t, "gzip", 1, cfg, nil)
@@ -207,6 +206,16 @@ func TestSnapshotIdentityChecks(t *testing.T) {
 	bad[8] ^= 0xff
 	if err := buildFor(t, "gzip", 1, cfg, nil).LoadCheckpoint(bytes.NewReader(bad)); err == nil {
 		t.Error("corrupt magic accepted")
+	}
+
+	// Another version: the word after the magic, a length-prefixed string.
+	off := 8 + len("CSIM-SNAP")
+	bad = append(bad[:0], buf.Bytes()...)
+	version := binary.LittleEndian.Uint64(bad[off:])
+	binary.LittleEndian.PutUint64(bad[off:], version+1)
+	want := fmt.Sprintf("snapshot version %d, this build reads version %d", version+1, version)
+	if err := buildFor(t, "gzip", 1, cfg, nil).LoadCheckpoint(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("other version: got %v, want mention of %q", err, want)
 	}
 
 	// Truncations anywhere must error, never panic.

@@ -68,7 +68,11 @@ func (p *Processor) producerCluster(seq uint64, dist uint32) int {
 }
 
 // producerUnfinished reports whether the producer dist back from seq is
-// still executing (the last-arriving-operand criticality hint).
+// still executing. It is steering's criticality hint (§2.1: "our steering
+// heuristic also uses a criticality predictor [Fields et al., Tune et al.]
+// to give a higher priority to the cluster that produces the critical
+// source operand"): an operand whose producer has not finished by steering
+// time is predicted to arrive last, which is the critical one.
 func (p *Processor) producerUnfinished(seq uint64, dist uint32) bool {
 	if dist == 0 {
 		return false
@@ -97,13 +101,13 @@ func (p *Processor) steerOperandMajority(in *isa.Instruction, seq uint64) int {
 		votes[c1]++
 		// Criticality: prefer the cluster producing the operand
 		// predicted to arrive last.
-		if p.predictedCritical(seq, in.SrcDist1) {
+		if p.producerUnfinished(seq, in.SrcDist1) {
 			votes[c1]++
 		}
 	}
 	if c2 >= 0 && c2 < active {
 		votes[c2]++
-		if p.predictedCritical(seq, in.SrcDist2) {
+		if p.producerUnfinished(seq, in.SrcDist2) {
 			votes[c2]++
 		}
 	}

@@ -305,7 +305,7 @@ func (s *Spec) Serialize() ([]byte, error) {
 }
 
 // Fingerprint hashes the canonical serialization (FNV-1a 64). It identifies
-// the policy in decision-trace headers, leaderboards and runner cache keys.
+// the policy in leaderboards and runner cache keys.
 func (s *Spec) Fingerprint() (uint64, error) {
 	data, err := s.Serialize()
 	if err != nil {

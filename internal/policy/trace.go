@@ -1,12 +1,8 @@
 package policy
 
 import (
-	"fmt"
-	"io"
-
 	"clustersim/internal/obs"
 	"clustersim/internal/pipeline"
-	"clustersim/internal/snap"
 )
 
 // Commit-event flag bits in DecisionTrace.flags.
@@ -18,9 +14,6 @@ const (
 	flagDistant
 	flagMispredicted
 )
-
-// traceVersion is the decision-trace serialization version.
-const traceVersion = 1
 
 // Decision is one change in a controller's desired active-cluster count:
 // at the commit of instruction Seq (cycle Cycle) the controller began
@@ -45,18 +38,8 @@ type Decision struct {
 // counterfactual scoring therefore re-simulates through the runner pool;
 // replay is the cheap first pass that needs no simulation at all.
 type DecisionTrace struct {
-	// Bench, Seed and Window identify the recorded run's workload.
-	Bench  string
-	Seed   uint64
-	Window uint64
-	// Policy is the recorded controller's Name(); PolicyFP is its
-	// spec fingerprint (0 when recorded from a bare controller).
-	Policy   string
-	PolicyFP uint64
-	// ConfigFP is the machine configuration's fingerprint
-	// (pipeline.Config.Fingerprint), guarding against replaying a trace
-	// against results from a different machine.
-	ConfigFP uint64
+	// Policy is the recorded controller's Name().
+	Policy string
 	// TotalClusters is the machine's cluster count, passed to
 	// Controller.Reset on replay.
 	TotalClusters int
@@ -73,7 +56,7 @@ type DecisionTrace struct {
 
 	// lastWant tracks the recorder's previous desired count so only
 	// changes append to Decisions.
-	lastWant int //simlint:nostate transient recording cursor, meaningless after the run
+	lastWant int
 }
 
 // Len returns the number of recorded commit events.
@@ -135,55 +118,6 @@ func (t *DecisionTrace) record(ev pipeline.CommitEvent, want int) {
 		t.lastWant = want
 	}
 }
-
-// State implements snap.Stater: the trace serializes with the same
-// deterministic fixed-width codec as simulator checkpoints.
-func (t *DecisionTrace) State(c *snap.Codec) {
-	c.Mark("decision-trace")
-	c.Expect(traceVersion, "policy: decision trace version %d (this build reads %d)")
-	c.String(&t.Bench)
-	c.U64(&t.Seed)
-	c.U64(&t.Window)
-	c.String(&t.Policy)
-	c.U64(&t.PolicyFP)
-	c.U64(&t.ConfigFP)
-	c.Int(&t.TotalClusters)
-	c.Mark("events")
-	c.U64s(&t.cycles)
-	c.U64s(&t.seqs)
-	c.U64s(&t.pcs)
-	c.Bytes(&t.flags)
-	c.Check(len(t.cycles) == len(t.seqs) && len(t.cycles) == len(t.pcs) && len(t.cycles) == len(t.flags),
-		"policy: decision trace columns disagree: %d/%d/%d/%d events",
-		len(t.cycles), len(t.seqs), len(t.pcs), len(t.flags))
-	c.Mark("decisions")
-	snap.Resize(c, &t.Decisions, len(t.cycles)+1, "decision")
-	for i := range t.Decisions {
-		d := &t.Decisions[i]
-		c.U64(&d.Seq)
-		c.U64(&d.Cycle)
-		c.Int(&d.Active)
-	}
-}
-
-// Write serializes the trace to w.
-func (t *DecisionTrace) Write(w io.Writer) error {
-	c := snap.NewSaver(w)
-	t.State(c)
-	return c.Flush()
-}
-
-// ReadTrace deserializes a trace written by Write.
-func ReadTrace(r io.Reader) (*DecisionTrace, error) {
-	c := snap.NewLoader(r)
-	t := &DecisionTrace{}
-	if t.State(c); c.Err() != nil {
-		return nil, c.Err()
-	}
-	return t, nil
-}
-
-var _ snap.Stater = (*DecisionTrace)(nil)
 
 // Recorder wraps a controller and captures its decision trace. With a nil
 // trace the wrapper is a pure pass-through — one nil test per commit, no
@@ -334,10 +268,4 @@ func (t *DecisionTrace) Agreement(a, b []Decision) float64 {
 		}
 	}
 	return float64(agree) / float64(t.Len())
-}
-
-// Describe returns a one-line header summary for logs and CLIs.
-func (t *DecisionTrace) Describe() string {
-	return fmt.Sprintf("%s seed=%d window=%d policy=%s events=%d decisions=%d",
-		t.Bench, t.Seed, t.Window, t.Policy, t.Len(), len(t.Decisions))
 }

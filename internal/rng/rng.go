@@ -98,24 +98,6 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (m >= 1), i.e. the number of Bernoulli(1/m) trials up to and including the
-// first success. Useful for generating run lengths.
-func (r *Source) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
-	}
-	p := 1 / m
-	n := 1
-	for !r.Bool(p) {
-		n++
-		if n > 1<<20 { // defensive bound; p > 0 so this is unreachable in practice
-			break
-		}
-	}
-	return n
-}
-
 // Fork returns a new Source whose stream is independent of r's future
 // output. It is used to give each benchmark phase its own stream so that
 // editing one phase's parameters does not perturb the others.

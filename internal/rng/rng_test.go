@@ -108,39 +108,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(9)
-	for _, m := range []float64{1, 2, 10, 100} {
-		var sum float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			sum += float64(r.Geometric(m))
-		}
-		got := sum / n
-		want := m
-		if m <= 1 {
-			want = 1
-		}
-		if math.Abs(got-want)/want > 0.1 {
-			t.Fatalf("Geometric(%f) mean %f, want ~%f", m, got, want)
-		}
-	}
-}
-
-func TestGeometricAtLeastOne(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := New(seed)
-		for i := 0; i < 50; i++ {
-			if r.Geometric(3) < 1 {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	r := New(13)
 	f := r.Fork()

@@ -148,6 +148,26 @@ func TestTimeoutRetries(t *testing.T) {
 	}
 }
 
+// TestRetryDelayBounded: the default backoff starts at 100, 200 and 400 ms,
+// and over any retry count every delay is positive, non-decreasing and at
+// most maxRetryDelay (an uncapped doubling overflows by attempt 38).
+func TestRetryDelayBounded(t *testing.T) {
+	r := New(1)
+	for i, want := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
+		if got := r.retryDelay(i + 1); got != want {
+			t.Fatalf("retryDelay(%d) = %v, want %v", i+1, got, want)
+		}
+	}
+	prev := time.Duration(0)
+	for attempt := 1; attempt <= 100; attempt++ {
+		d := r.retryDelay(attempt)
+		if d <= 0 || d < prev || d > maxRetryDelay {
+			t.Fatalf("retryDelay(%d) = %v after %v (cap %v)", attempt, d, prev, maxRetryDelay)
+		}
+		prev = d
+	}
+}
+
 // TestCheckpointResumeThroughRunner: a sweep interrupted mid-run (here by a
 // wall-clock timeout) leaves a snapshot behind; a second runner pointed at
 // the same checkpoint directory finishes the run from the snapshot, and the

@@ -264,8 +264,8 @@ type Runner struct {
 	// fail on the first). Permanent failures (panics, deadlocks, invalid
 	// requests) never retry.
 	Retries int
-	// Backoff is the delay before the first retry, doubling per attempt;
-	// zero selects 100ms.
+	// Backoff is the delay before the first retry, doubling per attempt up
+	// to one minute; zero selects 100ms.
 	Backoff time.Duration
 
 	// CheckpointDir enables crash-safe sweeps. Cacheable requests whose
@@ -421,14 +421,22 @@ func (r *Runner) RunAll(reqs []Request) ([]pipeline.Result, error) {
 	return results, nil
 }
 
+// maxRetryDelay caps the doubling backoff, so a large Retries count neither
+// sleeps for days nor overflows the Duration.
+const maxRetryDelay = time.Minute
+
 // retryDelay returns the backoff before retry number `attempt` (1-based count
-// of attempts already made): Backoff doubled per attempt, base 100ms.
+// of attempts already made): Backoff doubled per attempt, base 100ms, capped
+// at maxRetryDelay.
 func (r *Runner) retryDelay(attempt int) time.Duration {
-	base := r.Backoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
+	d := r.Backoff
+	if d <= 0 {
+		d = 100 * time.Millisecond
 	}
-	return base << (attempt - 1)
+	for i := 1; i < attempt && d < maxRetryDelay; i++ {
+		d *= 2
+	}
+	return min(d, maxRetryDelay)
 }
 
 // execute runs one request on the calling worker: it brackets the attempt

@@ -167,16 +167,6 @@ func differs(a, ref Interval, th Thresholds) bool {
 	return math.Abs(a.IPC()-refIPC)/refIPC > th.IPCDelta
 }
 
-// InstabilityCurve evaluates the instability factor at each interval length
-// base*mult for the given multipliers, returning one value per multiplier.
-func InstabilityCurve(trace []Interval, mults []int, th Thresholds) []float64 {
-	out := make([]float64, len(mults))
-	for i, m := range mults {
-		out[i] = Instability(Aggregate(trace, m), th)
-	}
-	return out
-}
-
 // MinStableInterval returns the smallest interval length base*mult (trying
 // the given multipliers in ascending order) whose instability factor is
 // below maxInstability percent, together with that factor. If none

@@ -259,21 +259,6 @@ func TestMinStableInterval(t *testing.T) {
 	}
 }
 
-func TestInstabilityCurveMonotoneForPeriodicTrace(t *testing.T) {
-	trace := make([]Interval, 240)
-	for i := range trace {
-		if (i/4)%2 == 0 {
-			trace[i] = mkInterval(1000, 400, 100, 300)
-		} else {
-			trace[i] = mkInterval(1000, 600, 220, 350)
-		}
-	}
-	curve := InstabilityCurve(trace, []int{1, 8}, DefaultThresholds())
-	if curve[1] >= curve[0] {
-		t.Fatalf("coarsening did not reduce instability: %v", curve)
-	}
-}
-
 // TestAnalysisDegenerateInputs is a table of degenerate-input cases across
 // the analysis entry points: empty traces, single intervals, aggregation
 // coarser than the trace, and empty multiplier lists must all degrade
@@ -321,11 +306,6 @@ func TestAnalysisDegenerateInputs(t *testing.T) {
 			}
 			if f := Instability([]Interval{zero, iv}, th); f != 100 {
 				t.Fatalf("zero-to-nonzero IPC should be a phase change, got %v", f)
-			}
-		}},
-		{"instability curve with empty multipliers", func(t *testing.T) {
-			if got := InstabilityCurve([]Interval{iv, iv}, nil, th); len(got) != 0 {
-				t.Fatalf("got %v", got)
 			}
 		}},
 		{"min stable interval on empty trace", func(t *testing.T) {
