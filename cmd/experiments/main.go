@@ -188,6 +188,7 @@ func main() {
 	if *phaseProfile {
 		ptimer = telemetry.NewPhaseTimer(*phaseSample)
 	}
+	persisted := 0 // results -resume read; the report after the sweep says how many served
 	if *resume {
 		if *ckDir == "" {
 			fmt.Fprintln(os.Stderr, "experiments: -resume requires -checkpoint-dir")
@@ -198,11 +199,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: resume: %v\n", err)
 			os.Exit(1)
 		}
-		skipped := ""
-		if k := rn.Stats().PersistSkipped; k > 0 {
-			skipped = fmt.Sprintf(", skipped %d unusable entr(ies)", k)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: resume: preloaded %d persisted result(s) from %s%s\n", n, *ckDir, skipped)
+		persisted = n
 	}
 	opts := experiments.Options{
 		Seed: *seed, Scale: *scale,
@@ -302,6 +299,10 @@ func main() {
 	st := rn.Stats()
 	fmt.Fprintf(os.Stderr, "experiments: %d simulator runs, %d cache hits, %d deduped\n",
 		st.Runs, st.CacheHits, st.Deduped)
+	if *resume {
+		fmt.Fprintf(os.Stderr, "experiments: resume: %d of %d persisted result(s) read from %s served a cell, skipped %d unusable entr(ies)\n",
+			st.PersistServed, persisted, *ckDir, st.PersistSkipped)
+	}
 	if ptimer != nil {
 		fmt.Fprint(os.Stderr, ptimer.Report().Table())
 	}

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -63,6 +67,60 @@ func TestCrashRecovery(t *testing.T) {
 	results, _ := os.ReadDir(filepath.Join(ckDir, "results"))
 	if len(results) != 4 {
 		t.Errorf("persisted %d results, want 4 (one per fig3 cluster count)", len(results))
+	}
+}
+
+// TestResumeReportsServedEntries: -resume over persisted Results whose keys
+// no request of this build has re-simulates every cell, and its report says
+// that none of the entries it read served one.
+func TestResumeReportsServedEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	tmp := t.TempDir()
+	bin := filepath.Join(tmp, "experiments")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	base := []string{"-run", "fig3", "-bench", "gzip", "-scale", "0.05", "-format", "csv"}
+	ckDir := filepath.Join(tmp, "ck")
+	ref, err := exec.Command(bin, append([]string{"-checkpoint-dir", ckDir}, base...)...).Output()
+	if err != nil {
+		t.Fatalf("persisting run: %v", err)
+	}
+
+	// Give every persisted Result a key no request has, as a build with
+	// other cache keys would have left them.
+	results := filepath.Join(ckDir, "results")
+	entries, err := os.ReadDir(results)
+	if err != nil || len(entries) != 4 {
+		t.Fatalf("persisted %d results (err %v), want 4", len(entries), err)
+	}
+	for _, e := range entries {
+		key, err := strconv.ParseUint(strings.TrimSuffix(e.Name(), ".json"), 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foreign := fmt.Sprintf("%016x.json", ^key)
+		if err := os.Rename(filepath.Join(results, e.Name()), filepath.Join(results, foreign)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stderr bytes.Buffer
+	resume := exec.Command(bin, append([]string{"-checkpoint-dir", ckDir, "-resume"}, base...)...)
+	resume.Stderr = &stderr
+	resumed, err := resume.Output()
+	if err != nil {
+		t.Fatalf("resumed run: %v\n%s", err, stderr.String())
+	}
+	if string(resumed) != string(ref) {
+		t.Fatalf("resumed CSV diverges from the reference:\n--- reference ---\n%s--- resumed ---\n%s", ref, resumed)
+	}
+	for _, want := range []string{"4 simulator runs", "resume: 0 of 4 persisted result(s)"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
 	}
 }
 

@@ -59,6 +59,7 @@ func main() {
 
 	rn := runner.New(*parallel)
 	rn.CheckpointDir = *ckDir
+	persisted := 0 // results -resume read; the report after the search says how many served
 	if *resume {
 		if *ckDir == "" {
 			fmt.Fprintln(os.Stderr, "policylab: -resume requires -checkpoint-dir")
@@ -69,11 +70,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "policylab: resume: %v\n", err)
 			os.Exit(1)
 		}
-		skipped := ""
-		if k := rn.Stats().PersistSkipped; k > 0 {
-			skipped = fmt.Sprintf(", skipped %d unusable entr(ies)", k)
-		}
-		fmt.Fprintf(os.Stderr, "policylab: resume: preloaded %d persisted result(s) from %s%s\n", n, *ckDir, skipped)
+		persisted = n
 	}
 
 	// Windows come from the experiments package's calibrated per-benchmark
@@ -133,4 +130,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "policylab: %d candidates over %s; best %s (fp %016x) score %.4f geomean IPC %.4f; %d runs, %d cache hits\n",
 		len(lb.Entries), strings.Join(benchList, ","), best.Spec.Name, best.Fingerprint,
 		best.Aggregate.Score, best.Aggregate.IPC, st.Runs, st.CacheHits)
+	if *resume {
+		fmt.Fprintf(os.Stderr, "policylab: resume: %d of %d persisted result(s) read from %s served a cell, skipped %d unusable entr(ies)\n",
+			st.PersistServed, persisted, *ckDir, st.PersistSkipped)
+	}
 }

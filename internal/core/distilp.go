@@ -9,26 +9,27 @@ import (
 )
 
 // DistantILPConfig parameterizes the §4.3 no-exploration controller. Zero
-// values select the paper's constants.
+// values select the paper's constants; json tags, in order, are spec keys.
 type DistantILPConfig struct {
+	// IPCDelta and MetricDelta mirror ExploreConfig's significance
+	// tests for phase-change detection.
+	IPCDelta    float64 `json:"ipc_delta,omitempty"`
+	MetricDelta float64 `json:"metric_delta,omitempty"`
 	// Interval is the fixed interval length in committed instructions
 	// (paper explores 1K as the best trade-off).
-	Interval uint64
+	Interval uint64 `json:"interval,omitempty"`
 	// Threshold is the distant-instruction count per interval above
 	// which the full-width configuration is chosen. The paper uses 160
 	// per 1K instructions; this model's in-order-commit window stays
 	// deeper across mispredicts than the paper's substrate, so the
 	// default fraction is recalibrated (DefaultDistantFrac) to separate
 	// the same benchmark classes. Zero scales the default to Interval.
-	Threshold uint64
+	Threshold uint64 `json:"distant_threshold,omitempty"`
 	// Narrow and Wide are the two candidate configurations (paper: 4 and
 	// 16 — "our earlier results indicate that these are the two most
 	// meaningful configurations").
-	Narrow, Wide int
-	// IPCDelta and MetricDelta mirror ExploreConfig's significance
-	// tests for phase-change detection.
-	IPCDelta    float64
-	MetricDelta float64
+	Narrow int `json:"narrow,omitempty"`
+	Wide   int `json:"wide,omitempty"`
 }
 
 func (c *DistantILPConfig) setDefaults(total int) {

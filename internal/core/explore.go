@@ -9,40 +9,40 @@ import (
 )
 
 // ExploreConfig parameterizes the Figure 4 algorithm. Zero values select
-// the paper's constants.
+// the paper's constants; json tags, in order, are policy-spec keys.
 type ExploreConfig struct {
 	// InitialInterval is the starting interval length in committed
 	// instructions (paper: 10K).
-	InitialInterval uint64
+	InitialInterval uint64 `json:"initial_interval,omitempty"`
 	// MaxInterval is THRESH3: when interval doubling passes this point,
 	// the controller picks the most popular configuration and stops
 	// reconfiguring (paper: 1 billion; scaled down for our shorter
 	// windows).
-	MaxInterval uint64
+	MaxInterval uint64 `json:"max_interval,omitempty"`
 	// IPCDelta is the relative IPC change treated as significant. The
 	// paper leaves this constant unspecified; 0.25 sits above this
 	// model's memory-system noise (±15% at 10K intervals) and far below
 	// the 2-3x swings real phase changes produce.
-	IPCDelta float64
+	IPCDelta float64 `json:"ipc_delta,omitempty"`
 	// MetricDelta is the absolute branch/memref-count change treated as
 	// significant, as a fraction of the interval length (paper:
 	// interval_length/100).
-	MetricDelta float64
+	MetricDelta float64 `json:"metric_delta,omitempty"`
 	// Thresh1 is the number of tolerated IPC variations before they
 	// signal a phase change (paper: 5).
-	Thresh1 float64
+	Thresh1 float64 `json:"thresh1,omitempty"`
 	// Thresh2 is the instability level that doubles the interval
 	// (paper: 5).
-	Thresh2 float64
+	Thresh2 float64 `json:"thresh2,omitempty"`
 	// Configs are the candidate cluster counts explored at each phase
 	// change (paper: 2, 4, 8, 16).
-	Configs []int
+	Configs []int `json:"configs,omitempty"`
 	// WarmupIntervals is how many intervals each explored configuration
 	// runs before the scoring interval. In-flight work dispatched under
 	// the previous configuration drains through the first interval and
 	// contaminates its IPC, so one warm-up interval (the default) is
 	// discarded. Set negative for none (the paper's literal reading).
-	WarmupIntervals int
+	WarmupIntervals int `json:"warmup_intervals,omitempty"`
 	// MacroInterval is the macrophase inspection period in committed
 	// instructions (Figure 4: "Inspect statistics every 100 billion
 	// instructions; if (new macrophase) initialize all variables").
@@ -50,7 +50,7 @@ type ExploreConfig struct {
 	// periods, the whole algorithm — including a discontinued one —
 	// restarts with the initial interval length. Zero disables the
 	// hierarchy (it rarely triggers within scaled-down runs).
-	MacroInterval uint64
+	MacroInterval uint64 `json:"macro_interval,omitempty"`
 }
 
 func (c *ExploreConfig) setDefaults(total int) {

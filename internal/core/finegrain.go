@@ -8,34 +8,35 @@ import (
 )
 
 // FineGrainConfig parameterizes the §4.4 basic-block-boundary controller.
-// Zero values select the paper's constants.
+// Zero values select the paper's constants; json tags, in order, are spec keys.
 type FineGrainConfig struct {
 	// EveryNthBranch attempts reconfiguration only at every Nth branch
 	// (paper: best performance at every fifth branch).
-	EveryNthBranch int
+	EveryNthBranch int `json:"every_nth_branch,omitempty"`
 	// Samples is the number of observations of a branch collected before
 	// its reconfiguration-table entry is created (paper: 10 for the
 	// branch scheme, 3 for the call/return scheme).
-	Samples int
+	Samples int `json:"samples,omitempty"`
 	// TableSize is the direct-mapped reconfiguration-table size (paper:
 	// 16K entries "to eliminate effects from aliasing").
-	TableSize int
+	TableSize int `json:"table_size,omitempty"`
 	// Window is the committed-instruction window whose distant-ILP
 	// content scores a branch (paper: 360 — what four clusters cannot
 	// hold).
-	Window int
+	Window int `json:"window,omitempty"`
 	// Threshold is the distant count in Window above which the wide
 	// configuration is advised (DefaultDistantFrac of the window when
 	// zero; see that constant for why it differs from the paper's 0.16).
-	Threshold int
+	Threshold int `json:"window_distant,omitempty"`
 	// FlushInterval rebuilds the table periodically so stale advice dies
 	// (paper: every 10M instructions with negligible overhead).
-	FlushInterval uint64
-	// Narrow and Wide are the two advised configurations.
-	Narrow, Wide int
+	FlushInterval uint64 `json:"flush_interval,omitempty"`
 	// CallReturnOnly triggers only at subroutine calls and returns
 	// (the Figure 6 variant; Huang et al.'s positional adaptation).
-	CallReturnOnly bool
+	CallReturnOnly bool `json:"call_return_only,omitempty"`
+	// Narrow and Wide are the two advised configurations.
+	Narrow int `json:"narrow,omitempty"`
+	Wide   int `json:"wide,omitempty"`
 }
 
 func (c *FineGrainConfig) setDefaults(total int) {

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"clustersim/internal/check"
+	"clustersim/internal/mem"
 	"clustersim/internal/obs"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/policy"
@@ -413,10 +414,11 @@ func Params() *Table {
 	add("FUs / cluster", fmt.Sprintf("intALU %d, intMulDiv %d, fpALU %d, fpMulDiv %d", cfg.IntALU, cfg.IntMulDiv, cfg.FPALU, cfg.FPMulDiv))
 	add("LSQ / cluster", fmt.Sprintf("%d", cfg.LSQPerCluster))
 	add("interconnect", fmt.Sprintf("ring (2 unidirectional), %d cycle/hop", cfg.HopLatency))
-	add("centralized L1", "32KB 2-way, 32B lines, 4 banks, 6-cycle RAM")
-	add("decentralized L1", "16KB 2-way, 8B lines, 1 bank/cluster, 4-cycle RAM")
-	add("L2", "2MB 8-way, 25 cycles, at cluster 0")
-	add("memory", "160 cycles + bus occupancy")
+	mc, md := mem.DefaultCentralConfig(cfg.Clusters), mem.DefaultDistConfig(cfg.Clusters)
+	add("centralized L1", fmt.Sprintf("%dKB %d-way, %dB lines, %d banks, %d-cycle RAM", mc.L1Size>>10, mc.L1Ways, mc.L1Line, mc.L1Banks, mc.L1Latency))
+	add("decentralized L1", fmt.Sprintf("%dKB %d-way, %dB lines, %d bank/cluster, %d-cycle RAM", md.L1Size>>10, md.L1Ways, md.L1Line, md.L1Banks/md.Clusters, md.L1Latency))
+	add("L2", fmt.Sprintf("%dMB %d-way, %d cycles, at cluster 0", mc.L2Size>>20, mc.L2Ways, mc.L2Latency))
+	add("memory", fmt.Sprintf("%d cycles + bus occupancy", mc.MemLatency))
 	add("distant-ILP depth", fmt.Sprintf("%d instructions", cfg.DistantDepth))
 	return t
 }

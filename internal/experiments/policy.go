@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"clustersim/internal/energy"
+	"clustersim/internal/core"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/policy"
 	"clustersim/internal/runner"
@@ -77,7 +77,7 @@ var dilpIntervals = map[string]uint64{"dilp-500": 500, "dilp-1K": 1_000, "dilp-1
 func columnPolicy(label string) (*policy.Spec, error) {
 	if iv, ok := dilpIntervals[label]; ok {
 		return &policy.Spec{Version: policy.Version, Name: policy.FamilyDistantILP,
-			Params: policy.Params{Interval: iv}}, nil
+			Params: policy.Params{DistantILP: core.DistantILPConfig{Interval: iv}}}, nil
 	}
 	switch label {
 	case "fg-branch":
@@ -138,8 +138,6 @@ func PolicyTable(o Options) (*Table, error) {
 		return nil, err
 	}
 
-	model := energy.DefaultModel()
-	weights := policy.DefaultWeights()
 	perPolicy := make([][]policy.Fitness, len(specs))
 	for bi, b := range benches {
 		row := Row{Name: b}
@@ -147,7 +145,7 @@ func PolicyTable(o Options) (*Table, error) {
 			r := rs[bi*len(specs)+pi]
 			row.Cells = append(row.Cells, ipcCell(r))
 			if !failed(r) {
-				perPolicy[pi] = append(perPolicy[pi], policy.Evaluate(r, model, weights))
+				perPolicy[pi] = append(perPolicy[pi], policy.Evaluate(r))
 			}
 		}
 		t.Rows = append(t.Rows, row)
@@ -155,7 +153,7 @@ func PolicyTable(o Options) (*Table, error) {
 
 	gm := Row{Name: "geomean"}
 	for pi, label := range labels {
-		agg := policy.Aggregate(perPolicy[pi], weights)
+		agg := policy.Aggregate(perPolicy[pi])
 		if len(perPolicy[pi]) == 0 {
 			gm.Cells = append(gm.Cells, Str("-"))
 			continue

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"clustersim/internal/core"
 	"clustersim/internal/policy"
 )
 
@@ -47,7 +48,7 @@ func TestPolicyTinyWithSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := &policy.Spec{Version: policy.Version, Name: policy.FamilyDistantILP,
-		Params: policy.Params{Interval: 2_000}}
+		Params: policy.Params{DistantILP: core.DistantILPConfig{Interval: 2_000}}}
 	o.PolicySpecs = []*policy.Spec{s1, s2}
 	tbl, err := PolicyTable(o)
 	if err != nil {

@@ -19,7 +19,11 @@
 // pipelined: one new transfer per cycle regardless of per-hop latency.
 package interconnect
 
-import "fmt"
+import (
+	"fmt"
+
+	"clustersim/internal/snap"
+)
 
 // calendarBits sizes each link's reservation window (2^calendarBits cycles).
 // Transfers further than this apart never collide in practice; on overflow
@@ -97,6 +101,7 @@ func (l Calendar) ReservedIn(from, to uint64) int {
 // Network is a cluster interconnect. Implementations are not safe for
 // concurrent use; a simulation owns its networks.
 type Network interface {
+	snap.Stater
 	// Clusters returns the number of nodes.
 	Clusters() int
 	// Hops returns the routed hop count between nodes a and b.

@@ -36,8 +36,3 @@ func (g *Grid) State(c *snap.Codec) {
 	StateCalendars(c, g.links, "grid link")
 	g.stats.state(c)
 }
-
-var (
-	_ snap.Stater = (*Ring)(nil)
-	_ snap.Stater = (*Grid)(nil)
-)

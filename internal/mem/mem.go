@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"clustersim/internal/interconnect"
+	"clustersim/internal/snap"
 )
 
 // Config holds memory-hierarchy parameters. DefaultCentralConfig and
@@ -186,6 +187,7 @@ func (s Stats) L1MissRate() float64 {
 // System is the interface the pipeline uses to time memory operations.
 // Implementations are not safe for concurrent use.
 type System interface {
+	snap.Stater
 	// Load times a load issued from cluster whose address is available
 	// there at cycle ready; it returns the cycle the data reaches the
 	// requesting cluster and whether the access hit in the L1.

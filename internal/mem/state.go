@@ -86,8 +86,6 @@ func (t *TLB) State(c *snap.Codec) {
 }
 
 var (
-	_ snap.Stater = (*central)(nil)
-	_ snap.Stater = (*dist)(nil)
 	_ snap.Stater = (*ICache)(nil)
 	_ snap.Stater = (*TLB)(nil)
 )

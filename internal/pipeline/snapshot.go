@@ -38,8 +38,8 @@ const (
 
 // Checkpointable reports whether the processor's state can round-trip
 // through a snapshot, returning a descriptive error when it cannot: an
-// observer or checker is attached, or the workload generator, network,
-// memory system or controller does not implement snap.Stater.
+// observer or checker is attached, or the workload generator or controller
+// does not implement snap.Stater (every network and memory system does).
 func (p *Processor) Checkpointable() error {
 	if p.obs != nil {
 		return fmt.Errorf("pipeline: runs with an observer attached cannot be checkpointed")
@@ -49,12 +49,6 @@ func (p *Processor) Checkpointable() error {
 	}
 	if _, ok := p.gen.(snap.Stater); !ok {
 		return fmt.Errorf("pipeline: workload generator %T does not support checkpointing", p.gen)
-	}
-	if _, ok := p.net.(snap.Stater); !ok {
-		return fmt.Errorf("pipeline: network %T does not support checkpointing", p.net)
-	}
-	if _, ok := p.memsys.(snap.Stater); !ok {
-		return fmt.Errorf("pipeline: memory system %T does not support checkpointing", p.memsys)
 	}
 	if p.ctrl != nil {
 		if _, ok := p.ctrl.(snap.Stater); !ok {
@@ -214,8 +208,8 @@ func (p *Processor) checkpoint(c *snap.Codec) {
 	c.Mark("components")
 	p.icache.State(c)
 	p.dtlb.State(c)
-	p.net.(snap.Stater).State(c)
-	p.memsys.(snap.Stater).State(c)
+	p.net.State(c)
+	p.memsys.State(c)
 	p.bp.State(c)
 	if c.Present(p.bankp != nil, "bank predictor") {
 		p.bankp.State(c)

@@ -7,25 +7,20 @@ import (
 	"clustersim/internal/pipeline"
 )
 
-// Weights parameterize the multi-objective fitness score:
+// The multi-objective fitness score is
 //
-//	Score = IPC − EnergyPerInstr·EPI − ChurnPerMInstr·(reconfigs per M instr)
+//	Score = IPC − energyWeight·EPI − churnWeight·(reconfigs per M instr)
 //
 // IPC is the paper's headline metric; the energy term prices powered
 // cluster-cycles (the leakage §4.2 recovers by disabling clusters) and the
 // churn term prices reconfiguration instability (each applied reconfig
-// costs a drain and, under the decentralized cache, a flush). The default
-// weights keep IPC dominant: a unit of IPC outweighs ~50 energy units per
+// costs a drain and, under the decentralized cache, a flush). The weights
+// keep IPC dominant: a unit of IPC outweighs ~50 energy units per
 // instruction (typical runs spend 8–15) and ~1000 reconfigs per M instr.
-type Weights struct {
-	EnergyPerInstr float64 `json:"energy_per_instr"`
-	ChurnPerMInstr float64 `json:"churn_per_m_instr"`
-}
-
-// DefaultWeights returns the weights described on Weights.
-func DefaultWeights() Weights {
-	return Weights{EnergyPerInstr: 0.02, ChurnPerMInstr: 0.001}
-}
+const (
+	energyWeight = 0.02
+	churnWeight  = 0.001
+)
 
 // Fitness is one run's multi-objective evaluation.
 type Fitness struct {
@@ -36,8 +31,9 @@ type Fitness struct {
 	Score          float64 `json:"score"`
 }
 
-// Evaluate scores one run result under the given energy model and weights.
-func Evaluate(r pipeline.Result, m energy.Model, w Weights) Fitness {
+// Evaluate scores one run result under energy.DefaultModel.
+func Evaluate(r pipeline.Result) Fitness {
+	m := energy.DefaultModel()
 	act := energy.ActivityOf(r)
 	br := m.Estimate(act)
 	f := Fitness{
@@ -46,7 +42,7 @@ func Evaluate(r pipeline.Result, m energy.Model, w Weights) Fitness {
 		EDP:            m.EDP(act),
 		ChurnPerMInstr: r.ReconfigsPerMInstr(),
 	}
-	f.Score = f.IPC - w.EnergyPerInstr*f.EnergyPerInstr - w.ChurnPerMInstr*f.ChurnPerMInstr
+	f.Score = f.IPC - energyWeight*f.EnergyPerInstr - churnWeight*f.ChurnPerMInstr
 	return f
 }
 
@@ -55,7 +51,7 @@ func Evaluate(r pipeline.Result, m energy.Model, w Weights) Fitness {
 // arithmetic means for energy and churn, and the score recomputed from the
 // aggregates so it stays comparable across candidates evaluated on the
 // same benchmark list.
-func Aggregate(per []Fitness, w Weights) Fitness {
+func Aggregate(per []Fitness) Fitness {
 	if len(per) == 0 {
 		return Fitness{}
 	}
@@ -80,6 +76,6 @@ func Aggregate(per []Fitness, w Weights) Fitness {
 	agg.EnergyPerInstr /= n
 	agg.EDP /= n
 	agg.ChurnPerMInstr /= n
-	agg.Score = agg.IPC - w.EnergyPerInstr*agg.EnergyPerInstr - w.ChurnPerMInstr*agg.ChurnPerMInstr
+	agg.Score = agg.IPC - energyWeight*agg.EnergyPerInstr - churnWeight*agg.ChurnPerMInstr
 	return agg
 }

@@ -19,9 +19,12 @@ package policy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"clustersim/internal/core"
@@ -44,163 +47,110 @@ const (
 // (each family's setDefaults), so the empty Params is always valid.
 type Spec struct {
 	// Version is the format version (must be 1).
-	Version int `json:"version"`
+	Version int
 	// Name selects the controller family: "static", "explore",
 	// "distant-ilp" or "fine-grain".
-	Name string `json:"name"`
+	Name string
 	// Doc is free-form documentation.
-	Doc string `json:"doc,omitempty"`
+	Doc string
 	// Params holds the family's parameters; fields belonging to other
 	// families must stay zero.
-	Params Params `json:"params,omitempty"`
+	Params Params
 }
 
-// Params is the union of every family's knobs. Field comments name the
-// owning family; Validate rejects a spec that sets another family's fields,
-// so a typo fails loudly instead of silently selecting a default.
+// Params holds one field per family. The controller families' fields are
+// the configs internal/core builds them from: each parameter is defined there.
 type Params struct {
-	// Clusters pins the active-cluster count (static; >= 1).
+	Static     Static
+	Explore    core.ExploreConfig
+	DistantILP core.DistantILPConfig
+	FineGrain  core.FineGrainConfig
+}
+
+// Static is the static family's parameter.
+type Static struct {
+	// Clusters pins the active-cluster count (>= 1).
 	Clusters int `json:"clusters,omitempty"`
-
-	// InitialInterval .. MacroInterval mirror core.ExploreConfig
-	// (explore).
-	InitialInterval uint64  `json:"initial_interval,omitempty"`
-	MaxInterval     uint64  `json:"max_interval,omitempty"`
-	IPCDelta        float64 `json:"ipc_delta,omitempty"`
-	MetricDelta     float64 `json:"metric_delta,omitempty"`
-	Thresh1         float64 `json:"thresh1,omitempty"`
-	Thresh2         float64 `json:"thresh2,omitempty"`
-	Configs         []int   `json:"configs,omitempty"`
-	WarmupIntervals int     `json:"warmup_intervals,omitempty"`
-	MacroInterval   uint64  `json:"macro_interval,omitempty"`
-
-	// Interval and DistantThreshold mirror core.DistantILPConfig
-	// (distant-ilp). Narrow/Wide are shared with fine-grain.
-	Interval         uint64 `json:"interval,omitempty"`
-	DistantThreshold uint64 `json:"distant_threshold,omitempty"`
-
-	// EveryNthBranch .. CallReturnOnly mirror core.FineGrainConfig
-	// (fine-grain).
-	EveryNthBranch int    `json:"every_nth_branch,omitempty"`
-	Samples        int    `json:"samples,omitempty"`
-	TableSize      int    `json:"table_size,omitempty"`
-	Window         int    `json:"window,omitempty"`
-	WindowDistant  int    `json:"window_distant,omitempty"`
-	FlushInterval  uint64 `json:"flush_interval,omitempty"`
-	CallReturnOnly bool   `json:"call_return_only,omitempty"`
-
-	// Narrow and Wide are the two candidate configurations of the
-	// distant-ilp and fine-grain families.
-	Narrow int `json:"narrow,omitempty"`
-	Wide   int `json:"wide,omitempty"`
-
-	// IPCDelta and MetricDelta above are shared by explore and
-	// distant-ilp.
 }
 
 // family describes one registered controller family.
 type family struct {
-	// validate rejects parameters outside the family's vocabulary or
-	// range.
-	validate func(p Params) error
+	// params returns a pointer to the family's field of p.
+	params func(p *Params) any
 	// build constructs a fresh controller instance from the parameters
 	// (nil for static, which has no controller).
-	build func(p Params) pipeline.Controller
+	build func(p *Params) pipeline.Controller
 }
 
 // families is the registry. Keys are Spec.Name values; iteration always
 // goes through Families() (collect-then-sort), never a raw range.
 var families = map[string]family{
 	FamilyStatic: {
-		validate: func(p Params) error {
-			if p.Clusters < 1 {
-				return fmt.Errorf("policy: static needs clusters >= 1, have %d", p.Clusters)
-			}
-			return rejectForeign(p, "static", func(q *Params) { q.Clusters = 0 })
-		},
+		params: func(p *Params) any { return &p.Static },
 	},
 	FamilyExplore: {
-		validate: func(p Params) error {
-			return rejectForeign(p, "explore", func(q *Params) {
-				q.InitialInterval, q.MaxInterval = 0, 0
-				q.IPCDelta, q.MetricDelta, q.Thresh1, q.Thresh2 = 0, 0, 0, 0
-				q.Configs = nil
-				q.WarmupIntervals, q.MacroInterval = 0, 0
-			})
-		},
-		build: func(p Params) pipeline.Controller {
-			return core.NewExplore(core.ExploreConfig{
-				InitialInterval: p.InitialInterval,
-				MaxInterval:     p.MaxInterval,
-				IPCDelta:        p.IPCDelta,
-				MetricDelta:     p.MetricDelta,
-				Thresh1:         p.Thresh1,
-				Thresh2:         p.Thresh2,
-				Configs:         append([]int(nil), p.Configs...),
-				WarmupIntervals: p.WarmupIntervals,
-				MacroInterval:   p.MacroInterval,
-			})
+		params: func(p *Params) any { return &p.Explore },
+		build: func(p *Params) pipeline.Controller {
+			cfg := p.Explore
+			cfg.Configs = slices.Clone(cfg.Configs)
+			return core.NewExplore(cfg)
 		},
 	},
 	FamilyDistantILP: {
-		validate: func(p Params) error {
-			return rejectForeign(p, "distant-ilp", func(q *Params) {
-				q.Interval, q.DistantThreshold = 0, 0
-				q.Narrow, q.Wide = 0, 0
-				q.IPCDelta, q.MetricDelta = 0, 0
-			})
-		},
-		build: func(p Params) pipeline.Controller {
-			return core.NewDistantILP(core.DistantILPConfig{
-				Interval:    p.Interval,
-				Threshold:   p.DistantThreshold,
-				Narrow:      p.Narrow,
-				Wide:        p.Wide,
-				IPCDelta:    p.IPCDelta,
-				MetricDelta: p.MetricDelta,
-			})
-		},
+		params: func(p *Params) any { return &p.DistantILP },
+		build:  func(p *Params) pipeline.Controller { return core.NewDistantILP(p.DistantILP) },
 	},
 	FamilyFineGrain: {
-		validate: func(p Params) error {
-			return rejectForeign(p, "fine-grain", func(q *Params) {
-				q.EveryNthBranch, q.Samples, q.TableSize = 0, 0, 0
-				q.Window, q.WindowDistant = 0, 0
-				q.FlushInterval = 0
-				q.CallReturnOnly = false
-				q.Narrow, q.Wide = 0, 0
-			})
-		},
-		build: func(p Params) pipeline.Controller {
-			return core.NewFineGrain(core.FineGrainConfig{
-				EveryNthBranch: p.EveryNthBranch,
-				Samples:        p.Samples,
-				TableSize:      p.TableSize,
-				Window:         p.Window,
-				Threshold:      p.WindowDistant,
-				FlushInterval:  p.FlushInterval,
-				Narrow:         p.Narrow,
-				Wide:           p.Wide,
-				CallReturnOnly: p.CallReturnOnly,
-			})
-		},
+		params: func(p *Params) any { return &p.FineGrain },
+		build:  func(p *Params) pipeline.Controller { return core.NewFineGrain(p.FineGrain) },
 	},
 }
 
-// rejectForeign zeroes the family's own fields via clear, then fails if
-// anything else in p is still set — the strictness that makes a misplaced
-// parameter an error rather than a silently ignored default.
-func rejectForeign(p Params, fam string, clear func(*Params)) error {
-	clear(&p)
-	// Every Params field is omitempty, so the canonical JSON of the
-	// remainder is "{}" exactly when nothing foreign is set — and when
-	// something is, the message shows it under its spec-file key.
-	rest, err := json.Marshal(p)
-	if err != nil {
-		return fmt.Errorf("policy: %w", err)
+// specFile is Spec's file form.
+type specFile struct {
+	Version int             `json:"version"`
+	Name    string          `json:"name"`
+	Doc     string          `json:"doc,omitempty"`
+	Params  json.RawMessage `json:"params"`
+}
+
+// MarshalJSON writes the family's parameters as the "params" object ({}
+// when all are zero). A spec Validate rejects has no file form.
+func (s Spec) MarshalJSON() ([]byte, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
 	}
-	if string(rest) != "{}" {
-		return fmt.Errorf("policy: parameters outside the %s family: %s", fam, rest)
+	params, err := json.Marshal(families[s.Name].params(&s.Params))
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(specFile{Version: s.Version, Name: s.Name, Doc: s.Doc, Params: params})
+}
+
+// UnmarshalJSON reads the file form strictly: an unknown key is an error
+// that names it. An unknown family's params stay unread; Validate fails.
+func (s *Spec) UnmarshalJSON(data []byte) error {
+	var f specFile
+	if err := decodeStrict(data, &f); err != nil {
+		return err
+	}
+	*s = Spec{Version: f.Version, Name: f.Name, Doc: f.Doc}
+	if fam, ok := families[f.Name]; ok && f.Params != nil {
+		return decodeStrict(f.Params, fam.params(&s.Params))
+	}
+	return nil
+}
+
+// decodeStrict decodes the one JSON value in data into v. Unknown fields
+// and anything but white space after the value are errors.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after spec document")
 	}
 	return nil
 }
@@ -219,14 +169,8 @@ func Families() []string {
 // and out-of-range values are all errors.
 func Parse(data []byte) (*Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("policy: %w", err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
-		return nil, fmt.Errorf("policy: trailing data after spec document")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -248,16 +192,29 @@ func LoadFile(path string) (*Spec, error) {
 }
 
 // Validate checks the spec against the registry and its family's parameter
-// vocabulary.
+// vocabulary: setting another family's parameters is an error naming them.
 func (s *Spec) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("policy: unsupported version %d (this build reads version %d)", s.Version, Version)
 	}
-	fam, ok := families[s.Name]
-	if !ok {
+	if _, ok := families[s.Name]; !ok {
 		return fmt.Errorf("policy: unknown family %q (have %v)", s.Name, Families())
 	}
-	return fam.validate(s.Params)
+	if s.Name == FamilyStatic && s.Params.Static.Clusters < 1 {
+		return fmt.Errorf("policy: static needs clusters >= 1, have %d", s.Params.Static.Clusters)
+	}
+	// Every parameter is omitempty, so another family's params marshal
+	// to "{}" unless one is set, and then show it under its spec key.
+	for _, name := range Families() {
+		params, err := json.Marshal(families[name].params(&s.Params))
+		if err != nil {
+			return fmt.Errorf("policy: %w", err)
+		}
+		if name != s.Name && string(params) != "{}" {
+			return fmt.Errorf("policy: parameters outside the %s family: %s", s.Name, params)
+		}
+	}
+	return nil
 }
 
 // Instantiate turns the spec into one run on machine cfg: the configuration
@@ -275,21 +232,22 @@ func (s *Spec) Instantiate(cfg pipeline.Config) (pipeline.Config, pipeline.Contr
 	}
 	if cfg.Cache == pipeline.DecentralizedCache {
 		p := s.Params
-		for _, n := range append([]int{p.Clusters, p.Narrow, p.Wide}, p.Configs...) {
+		for _, n := range append([]int{p.Static.Clusters, p.DistantILP.Narrow, p.DistantILP.Wide,
+			p.FineGrain.Narrow, p.FineGrain.Wide}, p.Explore.Configs...) {
 			if n&(n-1) != 0 {
 				return cfg, nil, "", fmt.Errorf("policy: %s: the decentralized cache needs power-of-two cluster counts, have %d", s.Name, n)
 			}
 		}
 	}
 	if s.Name == FamilyStatic {
-		cfg.ActiveClusters = s.Params.Clusters
+		cfg.ActiveClusters = s.Params.Static.Clusters
 		return cfg, nil, "", nil
 	}
 	key, err := s.Key()
 	if err != nil {
 		return cfg, nil, "", err
 	}
-	return cfg, families[s.Name].build(s.Params), key, nil
+	return cfg, families[s.Name].build(&s.Params), key, nil
 }
 
 // Serialize renders the spec in canonical form: two-space-indented JSON
@@ -345,13 +303,13 @@ func Paper(name string) (*Spec, error) {
 	case "fine-grain-cr":
 		return &Spec{Version: Version, Name: FamilyFineGrain,
 			Doc:    "§4.4 call/return variant",
-			Params: Params{CallReturnOnly: true}}, nil
+			Params: Params{FineGrain: core.FineGrainConfig{CallReturnOnly: true}}}, nil
 	}
 	var n int
 	if _, err := fmt.Sscanf(name, "static-%d", &n); err == nil && n >= 1 {
 		return &Spec{Version: Version, Name: FamilyStatic,
 			Doc:    fmt.Sprintf("fixed %d-cluster machine", n),
-			Params: Params{Clusters: n}}, nil
+			Params: Params{Static: Static{Clusters: n}}}, nil
 	}
 	return nil, fmt.Errorf("policy: unknown paper policy %q (have explore, distant-ilp, fine-grain, fine-grain-cr, static-N)", name)
 }

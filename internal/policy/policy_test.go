@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"clustersim/internal/core"
 	"clustersim/internal/pipeline"
 )
 
@@ -53,13 +54,13 @@ func TestPaperSpecsBuild(t *testing.T) {
 
 func TestSerializeParseRoundTrip(t *testing.T) {
 	specs := []*Spec{
-		{Version: Version, Name: FamilyStatic, Params: Params{Clusters: 8}},
+		{Version: Version, Name: FamilyStatic, Params: Params{Static: Static{Clusters: 8}}},
 		{Version: Version, Name: FamilyExplore, Doc: "tuned",
-			Params: Params{InitialInterval: 20_000, IPCDelta: 0.35, Configs: []int{4, 8, 16}}},
+			Params: Params{Explore: core.ExploreConfig{InitialInterval: 20_000, IPCDelta: 0.35, Configs: []int{4, 8, 16}}}},
 		{Version: Version, Name: FamilyDistantILP,
-			Params: Params{Interval: 2_000, DistantThreshold: 1_400, Narrow: 2}},
+			Params: Params{DistantILP: core.DistantILPConfig{Interval: 2_000, Threshold: 1_400, Narrow: 2}}},
 		{Version: Version, Name: FamilyFineGrain,
-			Params: Params{EveryNthBranch: 3, Window: 540, WindowDistant: 420, CallReturnOnly: true}},
+			Params: Params{FineGrain: core.FineGrainConfig{EveryNthBranch: 3, Window: 540, Threshold: 420, CallReturnOnly: true}}},
 	}
 	for _, s := range specs {
 		data, err := s.Serialize()
@@ -81,8 +82,8 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 }
 
 func TestFingerprintDistinguishesParams(t *testing.T) {
-	a := &Spec{Version: Version, Name: FamilyDistantILP, Params: Params{Interval: 1_000}}
-	b := &Spec{Version: Version, Name: FamilyDistantILP, Params: Params{Interval: 2_000}}
+	a := &Spec{Version: Version, Name: FamilyDistantILP, Params: Params{DistantILP: core.DistantILPConfig{Interval: 1_000}}}
+	b := &Spec{Version: Version, Name: FamilyDistantILP, Params: Params{DistantILP: core.DistantILPConfig{Interval: 2_000}}}
 	fa, err := a.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -114,16 +115,16 @@ func TestForeignParamsRejected(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"explore+interval",
-			Spec{Version: Version, Name: FamilyExplore, Params: Params{Interval: 500}},
+			Spec{Version: Version, Name: FamilyExplore, Params: Params{DistantILP: core.DistantILPConfig{Interval: 500}}},
 			"interval"},
 		{"static+window",
-			Spec{Version: Version, Name: FamilyStatic, Params: Params{Clusters: 4, Window: 360}},
+			Spec{Version: Version, Name: FamilyStatic, Params: Params{Static: Static{Clusters: 4}, FineGrain: core.FineGrainConfig{Window: 360}}},
 			"window"},
 		{"dilp+table",
-			Spec{Version: Version, Name: FamilyDistantILP, Params: Params{TableSize: 1024}},
+			Spec{Version: Version, Name: FamilyDistantILP, Params: Params{FineGrain: core.FineGrainConfig{TableSize: 1024}}},
 			"table_size"},
 		{"finegrain+macro",
-			Spec{Version: Version, Name: FamilyFineGrain, Params: Params{MacroInterval: 1_000_000}},
+			Spec{Version: Version, Name: FamilyFineGrain, Params: Params{Explore: core.ExploreConfig{MacroInterval: 1_000_000}}},
 			"macro_interval"},
 	}
 	for _, tc := range cases {
@@ -135,6 +136,23 @@ func TestForeignParamsRejected(t *testing.T) {
 			t.Fatalf("%s: error %q does not name the foreign key %q", tc.name, err, tc.want)
 		}
 	}
+	// In a spec file, another family's key fails in the decoder, which
+	// names it.
+	docs := []struct{ doc, want string }{
+		{`{"version":1,"name":"explore","params":{"interval":500}}`, `"interval"`},
+		{`{"version":1,"name":"static","params":{"clusters":4,"window":360}}`, `"window"`},
+		{`{"version":1,"name":"distant-ilp","params":{"table_size":1024}}`, `"table_size"`},
+		{`{"version":1,"name":"fine-grain","params":{"macro_interval":1000000}}`, `"macro_interval"`},
+	}
+	for _, tc := range docs {
+		_, err := Parse([]byte(tc.doc))
+		if err == nil {
+			t.Fatalf("Parse accepted foreign params: %s", tc.doc)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Parse(%s): error %q does not name the foreign key %s", tc.doc, err, tc.want)
+		}
+	}
 }
 
 // TestDecentralizedNeedsPowerOfTwoCounts: the decentralized cache masks
@@ -144,10 +162,10 @@ func TestDecentralizedNeedsPowerOfTwoCounts(t *testing.T) {
 	dist := pipeline.DefaultConfig()
 	dist.Cache = pipeline.DecentralizedCache
 	for _, s := range []*Spec{
-		{Version: Version, Name: FamilyStatic, Params: Params{Clusters: 3}},
-		{Version: Version, Name: FamilyExplore, Params: Params{Configs: []int{2, 6, 16}}},
-		{Version: Version, Name: FamilyDistantILP, Params: Params{Narrow: 3}},
-		{Version: Version, Name: FamilyFineGrain, Params: Params{Wide: 12}},
+		{Version: Version, Name: FamilyStatic, Params: Params{Static: Static{Clusters: 3}}},
+		{Version: Version, Name: FamilyExplore, Params: Params{Explore: core.ExploreConfig{Configs: []int{2, 6, 16}}}},
+		{Version: Version, Name: FamilyDistantILP, Params: Params{DistantILP: core.DistantILPConfig{Narrow: 3}}},
+		{Version: Version, Name: FamilyFineGrain, Params: Params{FineGrain: core.FineGrainConfig{Wide: 12}}},
 	} {
 		if _, _, _, err := s.Instantiate(dist); err == nil || !strings.Contains(err.Error(), "power-of-two") {
 			t.Errorf("%s %+v on the decentralized cache: err %v", s.Name, s.Params, err)
@@ -165,6 +183,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"bad version", `{"version":7,"name":"explore"}`},
 		{"static clusters", `{"version":1,"name":"static"}`},
 		{"trailing data", `{"version":1,"name":"explore"}{"version":1,"name":"explore"}`},
+		{"trailing garbage", `{"version":1,"name":"explore"} }`},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.doc)); err == nil {

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
-	"clustersim/internal/energy"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/rng"
 	"clustersim/internal/runner"
@@ -37,17 +37,10 @@ type SearchOptions struct {
 	Window func(bench string) uint64
 	// WorkloadSeed seeds the workload engine (default 1).
 	WorkloadSeed uint64
-	// Config is the machine configuration (zero Clusters selects
-	// pipeline.DefaultConfig).
-	Config pipeline.Config
 	// Runner executes the evaluation sweeps (nil builds a default pool).
 	// Give it a CheckpointDir and call LoadPersisted first to make the
 	// search crash-resumable.
 	Runner *runner.Runner
-	// Model and Weights parameterize fitness (zero values select
-	// energy.DefaultModel and DefaultWeights).
-	Model   energy.Model
-	Weights Weights
 	// Progress, when non-nil, receives one line per generation.
 	Progress func(format string, args ...any)
 }
@@ -75,17 +68,8 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	if o.WorkloadSeed == 0 {
 		o.WorkloadSeed = 1
 	}
-	if o.Config.Clusters == 0 {
-		o.Config = pipeline.DefaultConfig()
-	}
 	if o.Runner == nil {
 		o.Runner = runner.New(0)
-	}
-	if o.Model == (energy.Model{}) {
-		o.Model = energy.DefaultModel()
-	}
-	if o.Weights == (Weights{}) {
-		o.Weights = DefaultWeights()
 	}
 	return o
 }
@@ -222,7 +206,7 @@ func evaluate(o SearchOptions, gen int, pop []*Spec, seen map[uint64]*Entry, ord
 		seen[fp] = e
 		*order = append(*order, e)
 		for bi, bench := range o.Benchmarks {
-			cfg, ctrl, key, err := s.Instantiate(o.Config)
+			cfg, ctrl, key, err := s.Instantiate(pipeline.DefaultConfig())
 			if err != nil {
 				return err
 			}
@@ -243,13 +227,13 @@ func evaluate(o SearchOptions, gen int, pop []*Spec, seen map[uint64]*Entry, ord
 		return err
 	}
 	for i, c := range cells {
-		c.entry.PerBench[c.bench] = Evaluate(results[i], o.Model, o.Weights)
+		c.entry.PerBench[c.bench] = Evaluate(results[i])
 	}
 	for _, s := range pop {
 		fp, _ := s.Fingerprint()
 		e := seen[fp]
 		if e.Aggregate == (Fitness{}) {
-			e.Aggregate = Aggregate(e.PerBench, o.Weights)
+			e.Aggregate = Aggregate(e.PerBench)
 		}
 	}
 	return nil
@@ -333,7 +317,7 @@ func randomSpec(r *rng.Source) *Spec {
 func mutate(r *rng.Source, parent *Spec) *Spec {
 	s := &Spec{Version: Version, Name: parent.Name, Doc: "searched candidate",
 		Params: parent.Params}
-	s.Params.Configs = append([]int(nil), parent.Params.Configs...)
+	s.Params.Explore.Configs = slices.Clone(parent.Params.Explore.Configs)
 	for k := 1 + r.Intn(2); k > 0; k-- {
 		mutateInPlace(r, s)
 	}
@@ -342,9 +326,9 @@ func mutate(r *rng.Source, parent *Spec) *Spec {
 
 // mutateInPlace re-draws one parameter of s from its family's menu.
 func mutateInPlace(r *rng.Source, s *Spec) {
-	p := &s.Params
 	switch s.Name {
 	case FamilyExplore:
+		p := &s.Params.Explore
 		switch r.Intn(5) {
 		case 0:
 			p.InitialInterval = pickU64(r, menuInitialInterval)
@@ -359,22 +343,24 @@ func mutateInPlace(r *rng.Source, s *Spec) {
 			p.MetricDelta = pickF64(r, menuMetricDelta)
 		}
 	case FamilyDistantILP:
+		p := &s.Params.DistantILP
 		switch r.Intn(3) {
 		case 0:
 			p.Interval = pickU64(r, menuInterval)
 			// Threshold scales with the interval; re-draw it too so the
 			// fraction stays in the calibrated band.
-			p.DistantThreshold = uint64(float64(p.Interval) * pickF64(r, menuDistantFrac))
+			p.Threshold = uint64(float64(p.Interval) * pickF64(r, menuDistantFrac))
 		case 1:
 			iv := p.Interval
 			if iv == 0 {
 				iv = 1_000
 			}
-			p.DistantThreshold = uint64(float64(iv) * pickF64(r, menuDistantFrac))
+			p.Threshold = uint64(float64(iv) * pickF64(r, menuDistantFrac))
 		case 2:
 			p.Narrow = pickInt(r, menuNarrow)
 		}
 	case FamilyFineGrain:
+		p := &s.Params.FineGrain
 		switch r.Intn(5) {
 		case 0:
 			p.EveryNthBranch = pickInt(r, menuEveryNth)
@@ -382,13 +368,13 @@ func mutateInPlace(r *rng.Source, s *Spec) {
 			p.Samples = pickInt(r, menuSamples)
 		case 2:
 			p.Window = pickInt(r, menuWindow)
-			p.WindowDistant = int(float64(p.Window) * pickF64(r, menuDistantFrac))
+			p.Threshold = int(float64(p.Window) * pickF64(r, menuDistantFrac))
 		case 3:
 			w := p.Window
 			if w == 0 {
 				w = 360
 			}
-			p.WindowDistant = int(float64(w) * pickF64(r, menuDistantFrac))
+			p.Threshold = int(float64(w) * pickF64(r, menuDistantFrac))
 		case 4:
 			p.FlushInterval = pickU64(r, menuFlushEveryMI) * 1_000_000
 		}
@@ -410,7 +396,7 @@ func (l *Leaderboard) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, e := range l.Entries {
-		params, err := json.Marshal(e.Spec.Params)
+		params, err := json.Marshal(families[e.Spec.Name].params(&e.Spec.Params))
 		if err != nil {
 			return err
 		}

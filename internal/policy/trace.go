@@ -221,10 +221,10 @@ func (t *DecisionTrace) Replay(s *Spec) (ReplayResult, error) {
 	if err := s.Validate(); err != nil {
 		return ReplayResult{}, err
 	}
-	rr := ReplayResult{Policy: pipeline.PolicyName(nil, s.Params.Clusters)}
-	want := func(pipeline.CommitEvent) int { return s.Params.Clusters }
+	rr := ReplayResult{Policy: pipeline.PolicyName(nil, s.Params.Static.Clusters)}
+	want := func(pipeline.CommitEvent) int { return s.Params.Static.Clusters }
 	if build := families[s.Name].build; build != nil {
-		ctrl := build(s.Params)
+		ctrl := build(&s.Params)
 		ctrl.Reset(t.TotalClusters)
 		rr.Policy, want = ctrl.Name(), ctrl.OnCommit
 	}

@@ -96,11 +96,11 @@ func (r *Runner) persistResult(key uint64, res pipeline.Result) {
 // LoadPersisted preloads the run cache with every Result persisted under
 // CheckpointDir by an earlier process, returning how many were loaded. The
 // fingerprint scheme is deterministic across processes, so a resumed sweep's
-// requests hit these entries and re-execute only the missing cells.
-// Entries that hold no usable Result — names that are not a key, files
-// that cannot be read, JSON that does not decode — are skipped, not fatal
-// (a torn write must not block a resume), and counted in
-// Stats.PersistSkipped.
+// requests hit these entries (Stats.PersistServed counts the ones they hit)
+// and re-execute only the missing cells. Entries that hold no usable
+// Result — names that are not a key, files that cannot be read, JSON that
+// does not decode — are skipped, not fatal (a torn write must not block a
+// resume), and counted in Stats.PersistSkipped.
 func (r *Runner) LoadPersisted() (int, error) {
 	if r.CheckpointDir == "" {
 		return 0, nil
@@ -141,6 +141,9 @@ func (r *Runner) loadResultFile(e os.DirEntry) bool {
 		return false
 	}
 	r.store(key, res)
+	r.mu.Lock()
+	r.persisted[key] = true
+	r.mu.Unlock()
 	return true
 }
 

@@ -306,7 +306,7 @@ func TestLoadPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r2.Stats()
-	if st.Runs != 0 || st.CacheHits != 2 {
+	if st.Runs != 0 || st.CacheHits != 2 || st.PersistServed != 2 {
 		t.Fatalf("resumed sweep re-simulated: %+v", st)
 	}
 	for i := range first {

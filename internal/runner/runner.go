@@ -247,6 +247,9 @@ type Stats struct {
 	// PersistSkipped counts persisted-result entries LoadPersisted found
 	// but could not use: foreign names, unreadable files, undecodable JSON.
 	PersistSkipped int
+	// PersistServed counts the entries LoadPersisted loaded that served a
+	// request; an entry persisted under another build's key serves none.
+	PersistServed int
 }
 
 // Runner executes request batches. The zero value is ready to use; a Runner
@@ -287,11 +290,12 @@ type Runner struct {
 	// without it — and a nil Meter costs one pointer test per hook.
 	Meter *telemetry.SweepMeter
 
-	mu      sync.Mutex
-	cache   map[uint64]pipeline.Result
-	stats   Stats
-	agg     obs.Snapshot
-	aggRuns int
+	mu        sync.Mutex
+	cache     map[uint64]pipeline.Result
+	persisted map[uint64]bool // keys LoadPersisted loaded that no request has hit yet
+	stats     Stats
+	agg       obs.Snapshot
+	aggRuns   int
 }
 
 // New returns a Runner with the given pool width (<= 0 selects GOMAXPROCS).
@@ -328,6 +332,10 @@ func (r *Runner) lookup(key uint64) (pipeline.Result, bool) {
 	res, ok := r.cache[key]
 	if ok {
 		r.stats.CacheHits++
+		if r.persisted[key] {
+			delete(r.persisted, key)
+			r.stats.PersistServed++
+		}
 	}
 	return res, ok
 }
@@ -337,6 +345,7 @@ func (r *Runner) store(key uint64, res pipeline.Result) {
 	defer r.mu.Unlock()
 	if r.cache == nil {
 		r.cache = make(map[uint64]pipeline.Result)
+		r.persisted = make(map[uint64]bool)
 	}
 	r.cache[key] = res
 }
