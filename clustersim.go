@@ -33,7 +33,6 @@ import (
 
 	"clustersim/internal/check"
 	"clustersim/internal/core"
-	"clustersim/internal/energy"
 	"clustersim/internal/obs"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/smt"
@@ -42,7 +41,6 @@ import (
 	"clustersim/internal/telemetry"
 	"clustersim/internal/trace"
 	"clustersim/internal/workload"
-	"clustersim/internal/workload/engine"
 )
 
 // Core simulator types, aliased from the implementation packages so the
@@ -63,24 +61,12 @@ type (
 	Generator = workload.Generator
 	// PaperData records a benchmark's published characteristics.
 	PaperData = workload.PaperData
-	// WorkloadKernel parameterizes one phase of a custom synthetic
-	// workload (instruction mix, dependence structure, locality).
-	WorkloadKernel = engine.Kernel
-	// WorkloadPhase is one (name, length, kernel) segment of a custom
-	// workload.
-	WorkloadPhase = engine.Phase
 	// WorkloadSpec is a declarative workload document (phase profiles
 	// and sampling distributions, or a multi-programmed mix); see
 	// docs/WORKLOADS.md for the schema.
 	WorkloadSpec = spec.Spec
-	// SpecDist is a sampleable scalar in a workload spec (a constant or
-	// a named distribution, inverse-CDF sampled).
-	SpecDist = spec.Dist
 	// SpecMixThread is one compiled thread of a mix spec.
 	SpecMixThread = spec.MixThread
-	// InstrTrace is a recorded instruction stream with its identity;
-	// replaying it is byte-identical to live generation.
-	InstrTrace = trace.Trace
 	// PackedTrace is a recorded stream in compact in-memory form (~4 bytes
 	// per instruction), the form replay runs from.
 	PackedTrace = trace.Packed
@@ -88,14 +74,9 @@ type (
 	// kind/id, spec fingerprint, seed).
 	TraceMeta = trace.Meta
 	// TraceHeader is a trace file's identity block (metadata, length,
-	// content fingerprint), readable without decoding the payload.
+	// content fingerprint).
 	TraceHeader = trace.Header
-	// TraceReplayer replays a recorded stream as a Generator.
-	TraceReplayer = trace.Replayer
-	// TraceRecorder tees a live Generator while retaining the stream for
-	// a trace file.
-	TraceRecorder = trace.Recorder
-	// TraceExhaustedError is the typed panic a TraceReplayer raises when a
+	// TraceExhaustedError is the typed panic a replayed trace raises when a
 	// run fetches past its recording; the sweep runner recovers it into a
 	// per-run failure, direct drivers recover it themselves.
 	TraceExhaustedError = trace.ExhaustedError
@@ -110,8 +91,6 @@ type (
 	// (window/ROB bounds, register and issue-queue conservation, memory
 	// and interconnect accounting identities). One instance per run.
 	InvariantChecker = check.Invariants
-	// InvariantViolation is one failed invariant at one cycle.
-	InvariantViolation = check.Violation
 
 	// ExploreConfig parameterizes the Figure 4 interval-based controller.
 	ExploreConfig = core.ExploreConfig
@@ -125,12 +104,6 @@ type (
 	// Recorder collects metric traces for phase analysis (Table 4).
 	Recorder = stats.Recorder
 
-	// EnergyModel estimates leakage/dynamic energy in normalized units
-	// (the §4.2 cluster-gating argument quantified).
-	EnergyModel = energy.Model
-	// EnergyActivity is the activity vector an EnergyModel consumes.
-	EnergyActivity = energy.Activity
-
 	// Thread names one hardware context for multi-threaded studies.
 	Thread = smt.Thread
 	// PartitionPolicy decides per-thread cluster allotments.
@@ -138,8 +111,6 @@ type (
 	// SMTSystem co-schedules threads on dedicated cluster partitions
 	// (the paper's §1/§8 proposal).
 	SMTSystem = smt.System
-	// SMTReport summarizes a co-schedule.
-	SMTReport = smt.Report
 	// EqualPartition, FixedPartition and DistantILPPartition are the
 	// provided partitioning policies.
 	EqualPartition      = smt.EqualPartition
@@ -152,8 +123,6 @@ type (
 	Observer = obs.Observer
 	// MetricsRegistry holds named counters, gauges and histograms.
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time registry export (JSON/CSV).
-	MetricsSnapshot = obs.Snapshot
 	// Tracer consumes structured trace events.
 	Tracer = obs.Tracer
 	// TraceEvent is one structured trace record (controller decisions,
@@ -171,8 +140,6 @@ type (
 	// one pointer test per cycle. One timer may be shared across
 	// concurrent runs.
 	PhaseTimer = telemetry.PhaseTimer
-	// PhaseReport is a point-in-time phase-attribution summary.
-	PhaseReport = telemetry.PhaseReport
 )
 
 // Topology and cache-model selectors.
@@ -211,12 +178,6 @@ func Paper(name string) (PaperData, bool) { return workload.Paper(name) }
 // error for an unknown name (use Benchmarks for the valid set).
 func NewWorkload(name string, seed uint64) (Generator, error) {
 	return workload.New(name, seed)
-}
-
-// NewCustomWorkload builds a deterministic generator from caller-supplied
-// phase kernels, for workloads beyond the nine built-in benchmarks.
-func NewCustomWorkload(name string, phases []WorkloadPhase, seed uint64) (Generator, error) {
-	return engine.Custom(name, phases, seed)
 }
 
 // NewInvariantChecker returns a cycle-level invariant checker that records
@@ -268,17 +229,12 @@ func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
 func NewChromeSink(w io.Writer) *ChromeSink { return obs.NewChromeSink(w) }
 
 // ServeMetrics exposes live registry snapshots over HTTP on addr
-// (/metrics, /metrics.csv, /debug/vars). It returns once the listener is
-// bound, reporting the bound address; the returned function shuts it down.
-func ServeMetrics(addr string, r *MetricsRegistry) (string, func() error, error) {
-	return obs.Serve(addr, r)
-}
-
-// ServeMetricsPprof is ServeMetrics with the Go profiling endpoints added
-// under /debug/pprof/, so a long-running simulation can be CPU/heap-profiled
-// live.
-func ServeMetricsPprof(addr string, r *MetricsRegistry) (string, func() error, error) {
-	return obs.Serve(addr, r, obs.WithPprof())
+// (/metrics, /metrics.csv, /debug/vars). withPprof adds the Go profiling
+// endpoints under /debug/pprof/, so a long-running simulation can be
+// CPU/heap-profiled live. It returns once the listener is bound, reporting
+// the bound address; the returned function shuts it down.
+func ServeMetrics(addr string, r *MetricsRegistry, withPprof bool) (string, func() error, error) {
+	return obs.Serve(addr, r, withPprof)
 }
 
 // NewPhaseTimer returns a wall-clock phase timer sampling one cycle in every
@@ -299,13 +255,6 @@ func StartRuntimeSampler(r *MetricsRegistry, interval time.Duration) (stop func(
 func Instability(trace []Interval) float64 {
 	return stats.Instability(trace, stats.DefaultThresholds())
 }
-
-// DefaultEnergyModel returns the normalized energy-model coefficients.
-func DefaultEnergyModel() EnergyModel { return energy.DefaultModel() }
-
-// EnergyActivityOf extracts the energy-relevant activity from a Result.
-// The powered-cluster count assumes disabled clusters are voltage-gated.
-func EnergyActivityOf(r Result) EnergyActivity { return energy.ActivityOf(r) }
 
 // NewSMT builds a multi-threaded co-schedule over total dedicated clusters.
 func NewSMT(cfg Config, threads []Thread, total int, policy PartitionPolicy) (*SMTSystem, error) {
@@ -329,9 +278,8 @@ func Run(benchmark string, seed uint64, cfg Config, ctrl Controller, n uint64) (
 
 // Trace source kinds for TraceMeta.SourceKind.
 const (
-	TraceSourceBench  = trace.SourceBench
-	TraceSourceSpec   = trace.SourceSpec
-	TraceSourceCustom = trace.SourceCustom
+	TraceSourceBench = trace.SourceBench
+	TraceSourceSpec  = trace.SourceSpec
 )
 
 // DefaultTraceHeadroom is the recommended margin of extra instructions to
@@ -341,9 +289,6 @@ const DefaultTraceHeadroom = trace.DefaultHeadroom
 
 // LoadWorkloadSpec parses and validates the spec file at path.
 func LoadWorkloadSpec(path string) (*WorkloadSpec, error) { return spec.LoadFile(path) }
-
-// ParseWorkloadSpec parses and validates a spec document.
-func ParseWorkloadSpec(data []byte) (*WorkloadSpec, error) { return spec.Parse(data) }
 
 // CompileWorkloadSpec compiles a single-program spec into a Generator;
 // distribution-valued fields are sampled deterministically from seed.
@@ -357,32 +302,12 @@ func CompileWorkloadMix(s *WorkloadSpec, seed uint64) ([]SpecMixThread, error) {
 	return spec.CompileMix(s, seed)
 }
 
-// RecordTrace drains n instructions from gen into a trace.
-func RecordTrace(gen Generator, n uint64, meta TraceMeta) *InstrTrace {
-	return trace.Record(gen, n, meta)
-}
-
 // RecordTraceFile drains n instructions from gen straight into a trace file
 // at path, packing them as they are drawn, and returns the written header.
 func RecordTraceFile(path string, gen Generator, n uint64, meta TraceMeta) (TraceHeader, error) {
 	return trace.RecordFile(path, gen, n, meta)
 }
 
-// NewTraceRecorder tees gen: the consumer sees the unmodified stream while
-// the recorder retains it for WriteTraceFile.
-func NewTraceRecorder(gen Generator) *TraceRecorder { return trace.NewRecorder(gen) }
-
-// ReadTraceFile loads and fingerprint-verifies the trace at path.
-func ReadTraceFile(path string) (*InstrTrace, error) { return trace.ReadFile(path) }
-
 // ReadPackedTraceFile loads and fingerprint-verifies the trace at path in
 // packed form, ready to replay, without ever decoding it into a slice.
 func ReadPackedTraceFile(path string) (*PackedTrace, error) { return trace.ReadPackedFile(path) }
-
-// WriteTraceFile atomically writes t to path.
-func WriteTraceFile(path string, t *InstrTrace) error { return trace.WriteFile(path, t) }
-
-// PeekTraceHeader reads only a trace file's identity header — metadata,
-// length, and content fingerprint — without decoding the instruction
-// payload.
-func PeekTraceHeader(path string) (TraceHeader, error) { return trace.PeekHeader(path) }

@@ -170,13 +170,11 @@ func main() {
 			}
 		}
 		if *serve != "" {
-			serveFn := clustersim.ServeMetrics
 			endpoints := "/metrics, /metrics.csv, /debug/vars"
 			if *servePprof {
-				serveFn = clustersim.ServeMetricsPprof
 				endpoints += ", /debug/pprof/"
 			}
-			addr, closeServe, err := serveFn(*serve, ob.Registry)
+			addr, closeServe, err := clustersim.ServeMetrics(*serve, ob.Registry, *servePprof)
 			if err != nil {
 				fatal("%v", err)
 			}

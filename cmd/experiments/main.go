@@ -151,13 +151,11 @@ func main() {
 	var sweepReg *obs.Registry
 	if *serve != "" {
 		sweepReg = obs.NewRegistry()
-		var serveOpts []obs.ServeOption
 		endpoints := "/metrics, /metrics.csv, /debug/vars"
 		if *servePprof {
-			serveOpts = append(serveOpts, obs.WithPprof())
 			endpoints += ", /debug/pprof/"
 		}
-		addr, closeServe, err := obs.Serve(*serve, sweepReg, serveOpts...)
+		addr, closeServe, err := obs.Serve(*serve, sweepReg, *servePprof)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(2)

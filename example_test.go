@@ -20,6 +20,30 @@ func ExampleRun() {
 	// made progress: true
 }
 
+// ExampleNewProcessor is the README's quickstart: it builds a processor
+// over a benchmark's generator, governed by the Figure 4 controller, and
+// runs it.
+func ExampleNewProcessor() {
+	gen, err := clustersim.NewWorkload("gzip", 1)
+	if err != nil {
+		panic(err)
+	}
+	ctrl := clustersim.NewExplore(clustersim.ExploreConfig{}) // Figure 4 algorithm
+	p, err := clustersim.NewProcessor(clustersim.DefaultConfig(), gen, ctrl)
+	if err != nil {
+		panic(err)
+	}
+	res, err := p.Run(1_000_000)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("made progress:", res.IPC() > 1)
+	fmt.Println("disabled clusters on average:", res.AvgActiveClusters() < 16)
+	// Output:
+	// made progress: true
+	// disabled clusters on average: true
+}
+
 // ExampleNewExplore runs the paper's Figure 4 adaptive controller and shows
 // that it disables clusters for a low-ILP program.
 func ExampleNewExplore() {

@@ -92,17 +92,6 @@ func (d Diagnostic) String() string {
 // AnnotationPrefix starts every simlint annotation comment.
 const AnnotationPrefix = "//simlint:"
 
-// An annotation is one parsed //simlint: comment.
-type annotation struct {
-	verb   string // "allow", "nostate", "nokey", "alloc" or "hot"
-	rule   string // analyzer name (allow only)
-	reason string
-	pos    token.Position
-	// standalone is true when the comment occupies its own line, so it
-	// also covers the line below.
-	standalone bool
-}
-
 // parseAnnotation parses one comment, returning ok=false when the comment
 // is not a simlint annotation at all. A malformed annotation (unknown verb,
 // missing rule or reason) yields ok=true with a non-nil err.

@@ -22,6 +22,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -334,48 +335,8 @@ func JSONOmitted(field *types.Var, tag string) bool {
 	if !field.Exported() {
 		return true
 	}
-	jt, ok := lookupTag(tag, "json")
+	jt, ok := reflect.StructTag(tag).Lookup("json")
 	return ok && jt == "-"
-}
-
-// lookupTag is reflect.StructTag.Get without importing reflect's value
-// machinery into analysis code.
-func lookupTag(tag, key string) (string, bool) {
-	for tag != "" {
-		i := 0
-		for i < len(tag) && tag[i] == ' ' {
-			i++
-		}
-		tag = tag[i:]
-		if tag == "" {
-			break
-		}
-		i = 0
-		for i < len(tag) && tag[i] > ' ' && tag[i] != ':' && tag[i] != '"' {
-			i++
-		}
-		if i == 0 || i+1 >= len(tag) || tag[i] != ':' || tag[i+1] != '"' {
-			break
-		}
-		name := tag[:i]
-		tag = tag[i+1:]
-		i = 1
-		for i < len(tag) && tag[i] != '"' {
-			if tag[i] == '\\' {
-				i++
-			}
-			i++
-		}
-		if i >= len(tag) {
-			break
-		}
-		value := tag[1:i]
-		tag = tag[i+1:]
-		if name == key {
-			return value, true
-		}
-	}
-	return "", false
 }
 
 func unparen(e ast.Expr) ast.Expr {

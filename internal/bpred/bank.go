@@ -66,15 +66,6 @@ func NewBank(cfg BankConfig) (*BankPredictor, error) {
 	}, nil
 }
 
-// MustNewBank is NewBank but panics on error.
-func MustNewBank(cfg BankConfig) *BankPredictor {
-	p, err := NewBank(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (p *BankPredictor) index(pc uint64) (hi, l2 int) {
 	hi = int((pc >> 2) & uint64(p.l1Size-1))
 	h := p.hist[hi]

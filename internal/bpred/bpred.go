@@ -157,15 +157,6 @@ func New(cfg Config) (*Predictor, error) {
 	return p, nil
 }
 
-// MustNew is New but panics on configuration error; for tests and defaults.
-func MustNew(cfg Config) *Predictor {
-	p, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // pcIndex folds a PC into a table index (instructions are 4-byte aligned).
 func pcIndex(pc uint64, size int) int {
 	return int((pc >> 2) & uint64(size-1))

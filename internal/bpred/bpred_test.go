@@ -7,6 +7,24 @@ import (
 	"clustersim/internal/rng"
 )
 
+// MustNew is New but panics on configuration error.
+func MustNew(cfg Config) *Predictor {
+	p, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// MustNewBank is NewBank but panics on error.
+func MustNewBank(cfg BankConfig) *BankPredictor {
+	p, err := NewBank(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := DefaultConfig()
 	if _, err := New(good); err != nil {

@@ -18,11 +18,12 @@
 //     hierarchy's accounting identities balance, and the distant-ILP
 //     counters never exceed the instructions that could have produced them.
 //
-//   - oracle.go provides metamorphic and differential oracles executed
-//     through the internal/runner pool: seed determinism, static-controller
-//     equivalence, cluster-count monotonicity of the realized window,
-//     interval-length invariance of recorded phase traces, and run-chunking
-//     invariance.
+//   - oracle_test.go holds the metamorphic and differential oracles, which
+//     the package's tests run directly and through the internal/runner
+//     pool: seed determinism, cluster-count monotonicity of the realized
+//     window, interval-length invariance of recorded phase traces,
+//     checkpoint-resume and stepper equivalence, and run-chunking
+//     invariance. Only tests run them, so they live in a test file.
 //
 //   - fuzz_test.go fuzzes machine configurations and workload-generator
 //     parameters against the invariant checker, with the interesting inputs
@@ -70,7 +71,6 @@ type Invariants struct {
 	cycles     uint64
 	lastCycle  uint64
 	peakWindow uint64
-	peakIQ     int
 
 	prevMem       mem.Stats
 	prevNet       interconnect.Stats
@@ -105,9 +105,6 @@ func (k *Invariants) CyclesChecked() uint64 { return k.cycles }
 // PeakWindow returns the largest in-flight window (ROB occupancy) observed —
 // the realized window size the cluster-count monotonicity oracle compares.
 func (k *Invariants) PeakWindow() uint64 { return k.peakWindow }
-
-// PeakIQ returns the largest total issue-queue occupancy observed.
-func (k *Invariants) PeakIQ() int { return k.peakIQ }
 
 // Violations returns the recorded violations (empty for a clean run).
 func (k *Invariants) Violations() []Violation { return k.violations }
@@ -222,9 +219,6 @@ func (k *Invariants) CheckCycle(v *pipeline.MachineView) {
 		}
 		sumIQ += v.IQInt[c] + v.IQFP[c]
 		sumRegs += v.IntRegs[c] + v.FPRegs[c]
-	}
-	if sumIQ > k.peakIQ {
-		k.peakIQ = sumIQ
 	}
 	// Every queued-unissued instruction and every live destination
 	// register belongs to exactly one in-flight instruction.

@@ -34,7 +34,7 @@ type DistantILPConfig struct {
 
 func (c *DistantILPConfig) setDefaults(total int) {
 	if c.Interval == 0 {
-		c.Interval = 1_000
+		c.Interval = DefaultDistantILPInterval
 	}
 	if c.Threshold == 0 {
 		c.Threshold = uint64(float64(c.Interval) * DefaultDistantFrac)
@@ -63,6 +63,10 @@ func (c *DistantILPConfig) setDefaults(total int) {
 // occupied across mispredicts, shifting all benchmarks' distant fractions
 // upward while preserving their ordering.
 const DefaultDistantFrac = 0.78
+
+// DefaultDistantILPInterval is DistantILPConfig.Interval when zero: the
+// paper's 1K-instruction interval.
+const DefaultDistantILPInterval = 1_000
 
 // DistantILP is the §4.3 interval-based controller without exploration: at
 // each phase change it runs one interval at full width, measures the degree
@@ -102,7 +106,7 @@ func NewDistantILP(cfg DistantILPConfig) *DistantILP {
 func (d *DistantILP) Name() string {
 	iv := d.cfg.Interval
 	if iv == 0 {
-		iv = 1_000
+		iv = DefaultDistantILPInterval
 	}
 	return fmt.Sprintf("interval-dilp-%d", iv)
 }

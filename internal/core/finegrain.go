@@ -39,6 +39,10 @@ type FineGrainConfig struct {
 	Wide   int `json:"wide,omitempty"`
 }
 
+// DefaultFineGrainWindow is FineGrainConfig.Window when zero: the paper's
+// 360 instructions.
+const DefaultFineGrainWindow = 360
+
 func (c *FineGrainConfig) setDefaults(total int) {
 	if c.EveryNthBranch == 0 {
 		c.EveryNthBranch = 5
@@ -54,7 +58,7 @@ func (c *FineGrainConfig) setDefaults(total int) {
 		c.TableSize = 16 * 1024
 	}
 	if c.Window == 0 {
-		c.Window = 360
+		c.Window = DefaultFineGrainWindow
 	}
 	if c.Threshold == 0 {
 		c.Threshold = int(float64(c.Window) * DefaultDistantFrac)

@@ -371,16 +371,6 @@ func NewGrid(n int, hopLatency int) (*Grid, error) {
 	}, nil
 }
 
-// MustNewGrid is NewGrid but panics on error; for tests and internal callers
-// with statically valid parameters.
-func MustNewGrid(n int, hopLatency int) *Grid {
-	g, err := NewGrid(n, hopLatency)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Clusters returns the number of nodes.
 func (g *Grid) Clusters() int { return g.n }
 

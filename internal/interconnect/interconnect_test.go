@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// MustNewGrid is NewGrid but panics on error.
+func MustNewGrid(n int, hopLatency int) *Grid {
+	g, err := NewGrid(n, hopLatency)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestRingHops(t *testing.T) {
 	r := MustNewRing(16, 1)
 	cases := []struct{ a, b, want int }{

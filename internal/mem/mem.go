@@ -226,12 +226,3 @@ func New(cfg Config, net interconnect.Network) (System, error) {
 	}
 	return newDist(cfg, net), nil
 }
-
-// MustNew is New but panics on configuration error.
-func MustNew(cfg Config, net interconnect.Network) System {
-	s, err := New(cfg, net)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

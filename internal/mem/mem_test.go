@@ -7,6 +7,15 @@ import (
 	"clustersim/internal/interconnect"
 )
 
+// MustNew is New but panics on configuration error.
+func MustNew(cfg Config, net interconnect.Network) System {
+	s, err := New(cfg, net)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func newCentralSys() (*central, interconnect.Network) {
 	net := interconnect.MustNewRing(16, 1)
 	return newCentral(DefaultCentralConfig(16), net), net

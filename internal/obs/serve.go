@@ -13,39 +13,25 @@ import (
 // on duplicates; only the first served registry owns it).
 var publishOnce sync.Once
 
-// ServeOption customizes Serve's endpoint set.
-type ServeOption func(*serveConfig)
-
-type serveConfig struct {
-	pprof bool
-}
-
-// WithPprof adds the net/http/pprof handlers under /debug/pprof/, so a
-// long-running sweep can be profiled live (CPU, heap, goroutine, block)
-// without restarting it. Off by default: the profile endpoints expose
-// process internals and belong behind an explicit flag.
-func WithPprof() ServeOption {
-	return func(c *serveConfig) { c.pprof = true }
-}
-
 // Serve exposes live snapshots of the registry over HTTP on addr:
 //
 //	/metrics      JSON snapshot (sorted keys)
 //	/metrics.csv  CSV snapshot
 //	/debug/vars   standard expvar output, including a "clustersim" var
 //	              holding the same snapshot
-//	/debug/pprof/ Go profiling endpoints (only with WithPprof)
+//	/debug/pprof/ Go profiling endpoints (only with withPprof)
 //
 // It returns once the listener is bound, so callers can start a long
 // simulation immediately after; the registry's atomic metrics make
 // concurrent reads safe while the simulation writes. It reports the bound
 // address (resolving a ":0" port request) and a close function that shuts
 // the listener down.
-func Serve(addr string, r *Registry, opts ...ServeOption) (bound string, close func() error, err error) {
-	var cfg serveConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+//
+// withPprof adds the net/http/pprof handlers, so a long-running sweep can
+// be profiled live (CPU, heap, goroutine, block) without restarting it.
+// Both CLIs set it only under -pprof: the profile endpoints expose process
+// internals.
+func Serve(addr string, r *Registry, withPprof bool) (bound string, close func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: listen %s: %w", addr, err)
@@ -63,7 +49,7 @@ func Serve(addr string, r *Registry, opts ...ServeOption) (bound string, close f
 		r.Snapshot().WriteCSV(w) //simlint:allow errflow a failed response write is the client's disconnect; nothing to recover server-side
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	if cfg.pprof {
+	if withPprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -24,7 +24,7 @@ func get(t *testing.T, url string) (int, []byte) {
 func TestServeMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test.count").Add(7)
-	addr, closeFn, err := Serve("127.0.0.1:0", reg)
+	addr, closeFn, err := Serve("127.0.0.1:0", reg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +42,14 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatalf("served snapshot = %+v", snap)
 	}
 
-	// Without WithPprof the profiling endpoints must not exist.
+	// Without withPprof the profiling endpoints must not exist.
 	if code, _ := get(t, "http://"+addr+"/debug/pprof/"); code == http.StatusOK {
-		t.Fatal("pprof served without WithPprof")
+		t.Fatal("pprof served without withPprof")
 	}
 }
 
 func TestServeWithPprof(t *testing.T) {
-	addr, closeFn, err := Serve("127.0.0.1:0", NewRegistry(), WithPprof())
+	addr, closeFn, err := Serve("127.0.0.1:0", NewRegistry(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

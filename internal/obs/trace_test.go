@@ -171,7 +171,7 @@ func TestTimeSeriesCSV(t *testing.T) {
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pipeline.cycles").Add(42)
-	addr, closeFn, err := Serve("127.0.0.1:0", r)
+	addr, closeFn, err := Serve("127.0.0.1:0", r, false)
 	if err != nil {
 		t.Skipf("cannot listen: %v", err)
 	}

@@ -131,7 +131,7 @@ func TestIPCWithinMachineBounds(t *testing.T) {
 	for _, name := range []string{"gzip", "swim"} {
 		p := MustNew(testConfig(), workload.MustNew(name, 1), nil)
 		r := mustRun(t, p, 50_000)
-		if ipc := r.IPC(); ipc <= 0 || ipc > float64(p.Config().CommitWidth) {
+		if ipc := r.IPC(); ipc <= 0 || ipc > float64(p.cfg.CommitWidth) {
 			t.Errorf("%s: IPC %f outside (0, commit width]", name, ipc)
 		}
 	}

@@ -230,9 +230,6 @@ func MustNew(cfg Config, gen workload.Generator, ctrl Controller) *Processor {
 	return p
 }
 
-// Config returns the processor's configuration.
-func (p *Processor) Config() Config { return p.cfg }
-
 // ActiveClusters returns the current number of dispatch-enabled clusters.
 func (p *Processor) ActiveClusters() int { return p.active }
 

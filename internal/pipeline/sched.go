@@ -12,8 +12,8 @@ import "slices"
 // engine exploits exactly that purity: it evaluates an instruction only at
 // cycles where the legacy scan's evaluation could have had a side effect,
 // and in the same global order the scan would have reached it, so the two
-// steppers produce byte-identical Results (proved by the
-// check.StepperEquivalence oracle and TestStepperEquivalence* here).
+// steppers produce byte-identical Results (proved by internal/check's
+// StepperEquivalence oracle and TestStepperEquivalence* here).
 //
 // Three structures cooperate:
 //

@@ -16,7 +16,7 @@ import (
 // LoadCheckpoint restores it into a freshly constructed Processor built from
 // the identical (Config, benchmark, controller) triple; resuming then
 // produces byte-identical Results versus the uninterrupted run (proved by
-// check.ResumeEquivalence).
+// internal/check's ResumeEquivalence oracle).
 //
 // The snapshot header carries a format version and a Config fingerprint, so
 // a snapshot from a different simulator build or a different configuration

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 
+	"clustersim/internal/core"
 	"clustersim/internal/pipeline"
 	"clustersim/internal/rng"
 	"clustersim/internal/runner"
@@ -353,7 +354,7 @@ func mutateInPlace(r *rng.Source, s *Spec) {
 		case 1:
 			iv := p.Interval
 			if iv == 0 {
-				iv = 1_000
+				iv = core.DefaultDistantILPInterval
 			}
 			p.Threshold = uint64(float64(iv) * pickF64(r, menuDistantFrac))
 		case 2:
@@ -372,7 +373,7 @@ func mutateInPlace(r *rng.Source, s *Spec) {
 		case 3:
 			w := p.Window
 			if w == 0 {
-				w = 360
+				w = core.DefaultFineGrainWindow
 			}
 			p.Threshold = int(float64(w) * pickF64(r, menuDistantFrac))
 		case 4:

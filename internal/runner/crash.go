@@ -168,16 +168,3 @@ func (e *SweepError) WriteManifest(path string) error {
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
-
-// ReadManifest parses a failure manifest written by WriteManifest.
-func ReadManifest(path string) (Manifest, error) {
-	var m Manifest
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("runner: manifest %s: %w", path, err)
-	}
-	return m, nil
-}

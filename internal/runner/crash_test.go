@@ -3,7 +3,9 @@ package runner
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -347,6 +349,19 @@ func TestLoadPersisted(t *testing.T) {
 	if skipped := r3.Stats().PersistSkipped; n != 2 || skipped != 5 {
 		t.Fatalf("loaded %d, skipped %d; want 2 loaded, 5 skipped", n, skipped)
 	}
+}
+
+// ReadManifest parses a failure manifest written by WriteManifest.
+func ReadManifest(path string) (Manifest, error) {
+	var m Manifest
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return m, err
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, fmt.Errorf("runner: manifest %s: %w", path, err)
+	}
+	return m, nil
 }
 
 // TestManifestRoundTrip: WriteManifest/ReadManifest preserve every field a

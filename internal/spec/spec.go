@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 
 	"clustersim/internal/workload/engine"
@@ -115,9 +116,8 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 	// json.Decoder stops at the first value; anything but whitespace
-	// after it means the file is not one spec document.
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
+	// after it, valid JSON or not, means the file is not one spec document.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("spec: trailing data after spec document")
 	}
 	if err := s.Validate(); err != nil {

@@ -214,6 +214,8 @@ var malformedCases = []struct {
 	{"unknown-top-field", `{"version": 1, "name": "x", "wibble": 3, "phases": [{"length": 10, "profile": {"chains": 1}}]}`},
 	{"unknown-profile-field", `{"version": 1, "name": "x", "phases": [{"length": 10, "profile": {"chains": 1, "wibble": 3}}]}`},
 	{"trailing-data", `{"version": 1, "name": "x", "phases": [{"length": 10, "profile": {"chains": 1}}]} {"more": 1}`},
+	{"trailing-brace", `{"version": 1, "name": "x", "phases": [{"length": 10, "profile": {"chains": 1}}]} }`},
+	{"trailing-garbage", `{"version": 1, "name": "x", "phases": [{"length": 10, "profile": {"chains": 1}}]} xyz`},
 	{"zero-length", `{"version": 1, "name": "x", "phases": [{"length": 0, "profile": {"chains": 1}}]}`},
 	{"zero-chains", `{"version": 1, "name": "x", "phases": [{"length": 10, "profile": {"chains": 0}}]}`},
 	{"negative-repeat", `{"version": 1, "name": "x", "phases": [{"length": 10, "repeat": -1, "profile": {"chains": 1}}]}`},

@@ -25,7 +25,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	for _, n := range []uint64{0, 1, 33} {
 		var buf bytes.Buffer
 		tr := Record(gen, n, Meta{Name: "gzip", SourceKind: SourceBench, SourceID: "gzip", Seed: 1})
-		if err := Write(&buf, tr); err != nil {
+		if err := tr.Pack().write(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -57,7 +57,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
+		if err := tr.Pack().write(&buf); err != nil {
 			t.Fatalf("re-encoding an accepted trace failed: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), data) {

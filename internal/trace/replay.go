@@ -5,7 +5,6 @@ import (
 
 	"clustersim/internal/isa"
 	"clustersim/internal/snap"
-	"clustersim/internal/workload"
 )
 
 // DefaultHeadroom is the recommended margin of extra instructions to
@@ -84,49 +83,4 @@ func (r *Replayer) State(c *snap.Codec) {
 			r.Next(&in)
 		}
 	}
-}
-
-// Recorder tees a live generator: the simulation consumes the stream as
-// usual while every instruction is retained for a Trace. Use Extend
-// afterward to bank headroom beyond what the run fetched, so one recording
-// replays under policies that fetch further ahead.
-type Recorder struct {
-	gen workload.Generator
-	buf []isa.Instruction
-}
-
-// NewRecorder wraps gen.
-func NewRecorder(gen workload.Generator) *Recorder { return &Recorder{gen: gen} }
-
-// Name returns the wrapped generator's name.
-func (r *Recorder) Name() string { return r.gen.Name() }
-
-// Next forwards to the wrapped generator and records the instruction.
-func (r *Recorder) Next(in *isa.Instruction) {
-	r.gen.Next(in)
-	r.buf = append(r.buf, *in)
-}
-
-// Reset rewinds the wrapped generator and discards the recording.
-func (r *Recorder) Reset() {
-	r.gen.Reset()
-	r.buf = r.buf[:0]
-}
-
-// Recorded returns how many instructions have been recorded so far.
-func (r *Recorder) Recorded() int { return len(r.buf) }
-
-// Extend drains n more instructions from the generator into the recording
-// without handing them to a consumer.
-func (r *Recorder) Extend(n uint64) {
-	base := len(r.buf)
-	r.buf = append(r.buf, make([]isa.Instruction, n)...)
-	for i := base; i < len(r.buf); i++ {
-		r.gen.Next(&r.buf[i])
-	}
-}
-
-// Trace copies the recording into a Trace under the given identity.
-func (r *Recorder) Trace(meta Meta) *Trace {
-	return &Trace{Meta: meta, Instrs: append([]isa.Instruction(nil), r.buf...)}
 }

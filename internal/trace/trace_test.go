@@ -51,8 +51,8 @@ func rejectBoth(t *testing.T, data []byte, want, what string) {
 func encode(t *testing.T, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := tr.Pack().write(&buf); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -456,57 +456,6 @@ func TestReplayerSaveLoadState(t *testing.T) {
 	wrong.State(ld)
 	if err := ld.Err(); err == nil || !strings.Contains(err.Error(), "trace") {
 		t.Fatalf("cross-trace restore: got %v", err)
-	}
-}
-
-func TestRecorderTee(t *testing.T) {
-	gen, err := workload.New("swim", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := workload.New("swim", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorder(gen)
-	if rec.Name() != "swim" {
-		t.Fatalf("recorder name %q", rec.Name())
-	}
-	var a, b isa.Instruction
-	for i := 0; i < 500; i++ {
-		rec.Next(&a)
-		ref.Next(&b)
-		if a != b {
-			t.Fatalf("tee changed the stream at %d", i)
-		}
-	}
-	rec.Extend(100)
-	if rec.Recorded() != 600 {
-		t.Fatalf("recorded %d, want 600", rec.Recorded())
-	}
-	tr := rec.Trace(Meta{Name: "swim", SourceKind: SourceBench, SourceID: "swim", Seed: 3})
-	if len(tr.Instrs) != 600 {
-		t.Fatalf("trace holds %d instructions, want 600", len(tr.Instrs))
-	}
-	// The recording is the live stream: a fresh generator replays it.
-	check, err := workload.New("swim", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Instrs {
-		check.Next(&b)
-		if tr.Instrs[i] != b {
-			t.Fatalf("recorded instruction %d differs from regeneration", i)
-		}
-	}
-	// Trace returned a copy: further recording must not alias it.
-	rec.Extend(1)
-	if len(tr.Instrs) != 600 {
-		t.Fatalf("Trace aliases the recorder buffer")
-	}
-	rec.Reset()
-	if rec.Recorded() != 0 {
-		t.Fatalf("Reset kept %d recorded instructions", rec.Recorded())
 	}
 }
 
